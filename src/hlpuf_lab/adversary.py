@@ -12,7 +12,7 @@ basis-bit error exactly 2^(1-K) on conjugate-basis states.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,10 +20,6 @@ from . import qstate
 from .cpuf import CpufModel, random_challenges, transform_batch
 from .hybrid import (ABORT, ROLE_FIRST, ROLE_SECOND, EncodingScheme, HpufDevice,
                      HlpufDevice, encode_half, int_to_bits, server_verify)
-
-_Z_BASIS = np.eye(2, dtype=complex)
-_X_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 
 @dataclass
 class CrpDatabase:
@@ -144,64 +140,67 @@ class SplitAttack:
                 x = self._family.basis_state(1, v).density()
                 self.basis_stage[v] = qstate.helstrom_measurement(z, x, prior_a=self.p)
 
-    def guess_block(self, state: qstate.PureState, rng: np.random.Generator) -> tuple:
-        """Guessed block bits (value bits then basis bits) for one block state."""
-        prefix = 0
-        vbits = []
-        for stage in self.value_stages:
-            bit = stage[prefix].sample(state, rng)
-            vbits.append(bit)
-            prefix = (prefix << 1) | bit
-        if self.basis_stage is not None:
-            basis_bits = [self.basis_stage[prefix].sample(state, rng)]
-        else:
-            theta = int(rng.integers(0, self.scheme.bases_used))
-            basis_bits = list(int_to_bits(theta, self.scheme.basis_bits))
-        return tuple(vbits + basis_bits)
+    def p_one(self, amps: np.ndarray):
+        """P(outcome 1) of every stage's Helstrom measurement on amplitude rows (N, dim).
 
-    # Vectorized path over (value, theta) arrays; probabilities are taken from
-    # the same measurement objects, so object and array paths agree exactly.
-    @property
+        (value stages, each (2^s, N) indexed [prefix, row]; basis stage (2, N)
+        indexed [guessed value, row], or None without a basis stage).
+        """
+        value_p = [np.stack([_helstrom_p_one(nodes[prefix], amps) for prefix in range(2 ** s)])
+                   for s, nodes in enumerate(self.value_stages)]
+        basis_p = None
+        if self.basis_stage is not None:
+            basis_p = np.stack([_helstrom_p_one(self.basis_stage[v], amps) for v in (0, 1)])
+        return value_p, basis_p
+
+    @cached_property
     def tables(self):
-        if not hasattr(self, "_tables"):
-            n_theta = len(self._family)
-            vbits = self.scheme.value_bits
-            value_t = []
-            for s, nodes in enumerate(self.value_stages):
-                t = np.zeros((2 ** s, n_theta, self.n_values))
-                for prefix, meas in nodes.items():
-                    for theta in range(n_theta):
-                        for x in range(self.n_values):
-                            t[prefix, theta, x] = 1.0 - meas.probability_a(
-                                self._family.basis_state(theta, x))
-                value_t.append(t)
-            basis_t = None
-            if self.basis_stage is not None:
-                basis_t = np.zeros((2, n_theta, self.n_values))
-                for v, meas in self.basis_stage.items():
-                    for theta in range(n_theta):
-                        for x in range(self.n_values):
-                            basis_t[v, theta, x] = 1.0 - meas.probability_a(
-                                self._family.basis_state(theta, x))
-            self._tables = (value_t, basis_t)
-        return self._tables
+        """``p_one`` of every family column, laid out [prefix, theta, value]."""
+        n_theta = len(self._family)
+        cols = family_columns(self._family).reshape(n_theta * self.n_values, -1)
+        value_p, basis_p = self.p_one(cols)
+        value_t = [p.reshape(len(p), n_theta, self.n_values) for p in value_p]
+        basis_t = None if basis_p is None else basis_p.reshape(2, n_theta, self.n_values)
+        return value_t, basis_t
+
+    def _sample(self, value_p, basis_p, index, rng: np.random.Generator):
+        """Stagewise guesses at ``index`` into the stage arrays: outcome 1 when u < P(1)."""
+        shape = np.shape(index[0])
+        prefix = np.zeros(shape, dtype=np.int64)
+        for p in value_p:
+            bit = (rng.random(shape) < p[(prefix, *index)]).astype(np.int64)
+            prefix = (prefix << 1) | bit
+        if basis_p is not None:
+            theta_guess = (rng.random(shape) < basis_p[(prefix, *index)]).astype(np.int64)
+        else:
+            theta_guess = rng.integers(0, self.scheme.bases_used, size=shape)
+        return prefix, theta_guess
 
     def guess_blocks_vectorized(self, values: np.ndarray, thetas: np.ndarray,
                                 rng: np.random.Generator):
         """(guessed value ints, guessed theta ints) for arrays of true blocks."""
         value_t, basis_t = self.tables
-        shape = values.shape
-        prefix = np.zeros(shape, dtype=np.int64)
-        for s, t in enumerate(value_t):
-            p_one = t[prefix, thetas, values]
-            bit = (rng.random(shape) < p_one).astype(np.int64)
-            prefix = (prefix << 1) | bit
-        if basis_t is not None:
-            p_one = basis_t[prefix, thetas, values]
-            theta_guess = (rng.random(shape) < p_one).astype(np.int64)
-        else:
-            theta_guess = rng.integers(0, self.scheme.bases_used, size=shape)
-        return prefix, theta_guess
+        return self._sample(value_t, basis_t, (thetas, values), rng)
+
+    def guess_amplitudes(self, amps: np.ndarray, rng: np.random.Generator):
+        """(guessed value ints, guessed theta ints) for received amplitude rows (N, dim)."""
+        value_p, basis_p = self.p_one(amps)
+        return self._sample(value_p, basis_p, (np.arange(len(amps)),), rng)
+
+
+def _born(amps: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Born probabilities of each basis column (last axis) for amplitude rows (..., dim)."""
+    return np.abs(amps @ basis.conj()) ** 2
+
+
+def _helstrom_p_one(meas: qstate.TwoOutcomeMeasurement, amps: np.ndarray) -> np.ndarray:
+    """Probability of outcome 1 (hypothesis b) for each amplitude row."""
+    return 1.0 - np.sum(_born(amps, meas.basis)[:, meas.labels == 0], axis=1)
+
+
+def family_columns(family: qstate.MubFamily) -> np.ndarray:
+    """Amplitudes of every family state, indexed [theta, value, component]."""
+    return np.stack(family.bases).transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -210,45 +209,59 @@ def _cached_attack(kind: str, p: float, prior_bases) -> SplitAttack:
     return SplitAttack(SCHEMES[kind], p=p, prior_bases=prior_bases)
 
 
+def _int_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Most-significant-first bits of each integer, as a trailing axis of length width."""
+    return (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 def split_attack_extract(qdb: QuantumCrpDatabase, scheme: EncodingScheme,
                          rng: np.random.Generator, p: float = 0.5,
                          prior_bases: int | None = None) -> CrpDatabase:
     """Measure every single-copy block into guessed classical bits (noisy database)."""
     attack = _cached_attack(scheme.kind, p, prior_bases)
-    rows = []
-    for blocks in qdb.states:
-        bits = []
-        for state in blocks:
-            if state.dim != scheme.block_dim:
-                raise ValueError("state dimension does not match the scheme")
-            bits.extend(attack.guess_block(state, rng))
-        rows.append(bits)
-    return CrpDatabase(challenges=qdb.challenges, responses=np.array(rows, dtype=np.uint8),
+    amps = np.array([[s.amplitudes for s in blocks] for blocks in qdb.states])
+    if amps.ndim != 3 or amps.shape[2] != scheme.block_dim:
+        raise ValueError("state dimension does not match the scheme")
+    rows, blocks = amps.shape[:2]
+    value, theta = attack.guess_amplitudes(amps.reshape(rows * blocks, -1), rng)
+    bits = np.concatenate([_int_bits(value, scheme.value_bits),
+                           _int_bits(theta, scheme.basis_bits)], axis=1)
+    return CrpDatabase(challenges=qdb.challenges,
+                       responses=bits.reshape(rows, -1).astype(np.uint8),
                        noisy=True, source="extracted")
 
 
-def multi_copy_extract(copies, rng: np.random.Generator) -> tuple:
-    """(value bit, basis bit) from K >= 2 identical conjugate-coding copies.
+def multi_copy_extract_batch(amps: np.ndarray, rng: np.random.Generator):
+    """(value bits, basis bits) for N labels from their K >= 2 qubit copies, amps (N, K, 2).
 
     Computational-basis repetition over the copies; the first disagreement
     proves a conjugate-basis state and the next copy, when available, is read
-    in the conjugate basis (otherwise the value bit is a coin flip).
+    in the conjugate basis (otherwise the value bit is a coin flip). Every
+    label takes K + 1 uniforms; Z readouts after the first disagreement go unused.
     """
-    copies = list(copies)
-    if len(copies) < 2:
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 3 or amps.shape[1] < 2:
         raise ValueError("need at least 2 copies")
-    if any(c.dim != 2 for c in copies):
+    if amps.shape[2] != 2:
         raise ValueError("copies must be qubits")
-    prev = None
-    for i, copy in enumerate(copies):
-        out, _ = qstate.measure(copy, _Z_BASIS, rng)
-        if prev is not None and out != prev:
-            if i + 1 < len(copies):
-                xout, _ = qstate.measure(copies[i + 1], _X_BASIS, rng)
-                return xout, 1
-            return int(rng.integers(0, 2)), 1
-        prev = out
-    return prev, 0
+    n, k, _ = amps.shape
+    z_basis, x_basis = qstate.bb84_family().bases
+    u = rng.random((n, k + 1))
+    z = u[:, :k] < _born(amps, z_basis)[..., 1]
+    differs = z[:, 1:] != z[:, :1]
+    split = differs.any(axis=1)
+    next_copy = np.argmax(differs, axis=1) + 2
+    x_copy = amps[np.arange(n), np.minimum(next_copy, k - 1)]
+    p_x = np.where(next_copy < k, _born(x_copy, x_basis)[:, 1], 0.5)
+    value = np.where(split, u[:, k] < p_x, z[:, 0])
+    return value.astype(np.uint8), split.astype(np.uint8)
+
+
+def multi_copy_extract(copies, rng: np.random.Generator) -> tuple:
+    """(value bit, basis bit) from K >= 2 identical conjugate-coding copies."""
+    value, basis = multi_copy_extract_batch(
+        np.array([[c.amplitudes for c in copies]]), rng)
+    return int(value[0]), int(basis[0])
 
 
 def intercept_resend(state: qstate.PureState, rng: np.random.Generator) -> tuple:
@@ -259,8 +272,7 @@ def intercept_resend(state: qstate.PureState, rng: np.random.Generator) -> tuple
     if state.dim != 2:
         raise ValueError("intercept_resend handles qubits only")
     guess = int(rng.integers(0, 2))
-    basis = _Z_BASIS if guess == 0 else _X_BASIS
-    outcome, post = qstate.measure(state, basis, rng)
+    outcome, post = qstate.measure(state, qstate.bb84_family().bases[guess], rng)
     return post, outcome, guess
 
 
@@ -378,54 +390,6 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig) -> LrModel:
             break
     return LrModel(weights=best_w, config=config, validation_accuracy=best_acc,
                    diverged=diverged)
-
-
-# ---------------------------------------------------------------------------
-# Result records
-# ---------------------------------------------------------------------------
-
-ATTACK_CSV_COLUMNS = "seed,q,scheme,k,n,m,mode,accuracy,bit_rate,epsilon_measured,runtime_ms"
-
-
-@dataclass
-class AttackResult:
-    seed: int
-    q: int
-    scheme: str
-    k: int
-    n: int
-    m: int
-    mode: str
-    test_accuracy: float
-    extraction_bit_rate: float
-    epsilon_measured: float
-    runtime_s: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.test_accuracy <= 1.0:
-            raise ValueError("accuracy outside [0, 1]")
-
-    def csv_row(self, with_runtime: bool = True) -> str:
-        cells = [str(self.seed), str(self.q), self.scheme, str(self.k), str(self.n),
-                 str(self.m), self.mode, repr(self.test_accuracy),
-                 repr(self.extraction_bit_rate), repr(self.epsilon_measured)]
-        if with_runtime:
-            cells.append(str(int(round(self.runtime_s * 1000.0))))
-        return ",".join(cells)
-
-
-def append_attack_results(path, results) -> None:
-    """Append rows (creating the header if absent) in the documented schema."""
-    try:
-        with open(path) as fh:
-            has_header = fh.readline().strip() == ATTACK_CSV_COLUMNS
-    except FileNotFoundError:
-        has_header = False
-    with open(path, "a") as fh:
-        if not has_header:
-            fh.write(ATTACK_CSV_COLUMNS + "\n")
-        for r in results:
-            fh.write(r.csv_row() + "\n")
 
 
 def extraction_stats(true_responses: np.ndarray, extracted: np.ndarray) -> dict:
@@ -556,19 +520,14 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
             if target != TARGET_HPUF or scheme.kind != "bb84":
                 raise ValueError("multi-copy extraction targets the unlocked conjugate-coding device")
             challenges = random_challenges(config.n, q, child)
-            rows = []
-            for x in challenges:
-                evaluations = []
-                for _c in range(config.multi_copies):
-                    first, second = device.hpuf_eval(x)
-                    evaluations.append(list(first.states) + list(second.states))
-                bits = []
-                for qubit_index in range(2 * config.m):
-                    copies = [ev[qubit_index] for ev in evaluations]
-                    value, basis = multi_copy_extract(copies, child)
-                    bits.extend([value, basis])
-                rows.append(bits)
-            db = CrpDatabase(challenges, np.array(rows, dtype=np.uint8),
+            # each of the multi_copies evaluations of a challenge emits the
+            # same qubits, one per (value, basis) response-bit pair
+            y = cpuf.eval_batch(challenges)
+            amps = family_columns(scheme.family())[y[:, 1::2], y[:, 0::2]]
+            copies = np.broadcast_to(amps.reshape(-1, 1, 2),
+                                     (amps.shape[0] * amps.shape[1], config.multi_copies, 2))
+            value, basis = multi_copy_extract_batch(copies, child)
+            db = CrpDatabase(challenges, np.stack([value, basis], axis=1).reshape(q, -1),
                              noisy=True, source="extracted")
             second_half_only = config.verify_second_half_only
             targets = range(half, out_bits) if second_half_only else range(out_bits)

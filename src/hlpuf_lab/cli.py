@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, qstate
-from .adversary import (AttackResult, CrpDatabase, LrConfig, _cached_attack,
-                        extraction_stats, lr_train, multi_copy_extract)
+from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extraction_stats,
+                        family_columns, lr_train, multi_copy_extract_batch)
 from .cpuf import CpufModel, random_challenges
 from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, encode_block,
                      decode_block, int_to_bits)
@@ -35,6 +35,7 @@ SCHEMA_VERSION = 1
 
 CURVE_MODES = ("cpuf", "hpuf_adaptive", "hlpuf_weak")
 CURVE_COLUMNS = "seed,q,scheme,k,n,m,mode,accuracy,bit_rate,epsilon_measured"
+TIMING_COLUMNS = CURVE_COLUMNS + ",runtime_ms"
 
 _HASH_EXCLUDED = {"out", "timing_log", "threads", "command"}
 
@@ -74,9 +75,6 @@ class ExperimentConfig:
     timing_log: str | None = None
     threads: int = 1
 
-    def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"), default=list)
-
     def config_hash(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if k not in _HASH_EXCLUDED}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list)
@@ -98,6 +96,48 @@ def _csv_header(config: ExperimentConfig, columns: str) -> str:
 # attack-curve
 # ---------------------------------------------------------------------------
 
+@dataclass
+class AttackResult:
+    seed: int
+    q: int
+    scheme: str
+    k: int
+    n: int
+    m: int
+    mode: str
+    test_accuracy: float
+    extraction_bit_rate: float
+    epsilon_measured: float
+    runtime_s: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.test_accuracy <= 1.0:
+            raise ValueError("accuracy outside [0, 1]")
+
+    def csv_row(self, with_runtime: bool = True) -> str:
+        """One row of CURVE_COLUMNS, or of TIMING_COLUMNS with the runtime."""
+        cells = [str(self.seed), str(self.q), self.scheme, str(self.k), str(self.n),
+                 str(self.m), self.mode, repr(self.test_accuracy),
+                 repr(self.extraction_bit_rate), repr(self.epsilon_measured)]
+        if with_runtime:
+            cells.append(str(int(round(self.runtime_s * 1000.0))))
+        return ",".join(cells)
+
+
+def append_attack_results(path, results) -> None:
+    """Append TIMING_COLUMNS rows, writing the header if the file lacks it."""
+    try:
+        with open(path) as fh:
+            has_header = fh.readline().strip() == TIMING_COLUMNS
+    except FileNotFoundError:
+        has_header = False
+    with open(path, "a") as fh:
+        if not has_header:
+            fh.write(TIMING_COLUMNS + "\n")
+        for r in results:
+            fh.write(r.csv_row() + "\n")
+
+
 def _curve_labels(mode: str, values, thetas, config: ExperimentConfig, rng):
     """Training labels for the modeled value bit under each learning route.
 
@@ -111,14 +151,10 @@ def _curve_labels(mode: str, values, thetas, config: ExperimentConfig, rng):
         value_guess, _theta_guess = attack.guess_blocks_vectorized(values, thetas, rng)
         return value_guess.astype(np.uint8)
     if mode == "hpuf_adaptive":
-        out = np.empty_like(values)
-        for i in range(len(values)):
-            copies = [encode_block(int_to_bits(int(values[i]), 1)
-                                   + int_to_bits(int(thetas[i]), 1), BB84)
-                      for _ in range(config.multi_copies)]
-            value, _basis = multi_copy_extract(copies, rng)
-            out[i] = value
-        return out.astype(np.uint8)
+        amps = family_columns(BB84.family())[thetas, values]
+        copies = np.broadcast_to(amps[:, None, :], (len(amps), config.multi_copies, 2))
+        value, _basis = multi_copy_extract_batch(copies, rng)
+        return value
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -126,11 +162,10 @@ def _curve_task(payload):
     """One (curve seed, mode) cell: extract labels once, train across the q grid."""
     cfg_dict, seed_index, mode = payload
     config = ExperimentConfig(**cfg_dict)
-    if config.scheme != "bb84":
-        raise ValueError("attack curves model the conjugate-coding scheme")
     rng = derive_rng(config.seed, 1, seed_index)
     model_seed = int(rng.integers(0, 2**31 - 1))
-    cpuf = CpufModel.xor_arbiter(config.n, config.k, 4 * config.m, model_seed)
+    # the curve models one (value, basis) block
+    cpuf = CpufModel.xor_arbiter(config.n, config.k, 2, model_seed)
     q_max = max(config.q_grid)
     challenges = random_challenges(config.n, q_max + config.test_size, rng)
     bits = cpuf.eval_batch(challenges)
@@ -153,7 +188,6 @@ def _curve_task(payload):
         lr_config = config.lr_config(lr_seed)
         if q == 0:
             # nothing to learn from: an untrained random model guesses
-            from .adversary import LrModel
             w = np.random.default_rng(lr_seed).normal(size=(config.k, config.n + 1))
             model = LrModel(weights=w, config=lr_config, validation_accuracy=0.5)
         else:
@@ -188,7 +222,6 @@ def cmd_attack_curve(config: ExperimentConfig) -> int:
             for r in rows:
                 fh.write(r.csv_row(with_runtime=False) + "\n")
     if config.timing_log:
-        from .adversary import append_attack_results
         append_attack_results(config.timing_log, [r for _k, rows in results for r in rows])
     return 0
 
@@ -431,12 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--threads", type=int, default=None)
 
-    p = sub.add_parser("attack-curve", help="forgery accuracy vs training CRPs")
+    # no abbreviations: a stale --m would otherwise silently mean --multi-copies
+    p = sub.add_parser("attack-curve", help="forgery accuracy vs training CRPs",
+                       allow_abbrev=False)
     common(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default=None)
     p.add_argument("--q-grid", type=_int_list, default=None, dest="q_grid")
     p.add_argument("--curve-seeds", type=int, default=None, dest="curve_seeds")
     p.add_argument("--multi-copies", type=int, default=None, dest="multi_copies")
@@ -501,6 +534,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     config = ExperimentConfig(**merged)
+    if config.command == "attack-curve" and (config.scheme != "bb84" or config.m != 1):
+        raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
     if config.out is None or config.out == "out":
         config.out = {"attack-curve": "attack_curve.csv", "bounds": "bounds.csv",
                       "protocol": "protocol_out", "selfcheck": "-"}[config.command]

@@ -13,7 +13,6 @@ With 2^b basis bits addressing a family of 2^b + 1 bases, the last basis is
 never emitted by devices; attacks may still assume the full-family prior.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,17 +186,13 @@ def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Genera
 class HlpufDevice:
     """Lock-gated HPUF: verify incoming first-half states, then release the second half.
 
-    ``eps_ball`` is the abstract trace-norm tolerance of the generic equality
-    verifier; the measurement instantiation used here corresponds to 0 and the
-    knob is inert (kept for configuration compatibility). ``query_log`` counts
-    lock-passing evaluations and is the device's only mutable field.
+    ``query_log`` counts lock-passing evaluations and is the device's only
+    mutable field.
     """
 
-    def __init__(self, hpuf: HpufDevice, eps_ball: float = 0.0):
+    def __init__(self, hpuf: HpufDevice):
         self.hpuf = hpuf
-        self.eps_ball = float(eps_ball)
         self.query_log = 0
-        self._lock = threading.Lock()
 
     @property
     def scheme(self) -> EncodingScheme:
@@ -207,16 +202,14 @@ class HlpufDevice:
         """Second HalfResponse if the incoming first half verifies, else ABORT.
 
         Wrong arity or wrong block dimension counts as failed verification.
-        The returned half carries no classical bits (wire object). Calls are
-        serialized per device.
+        The returned half carries no classical bits (wire object).
         """
-        with self._lock:
-            first_bits = self.hpuf.half_bits(x, ROLE_FIRST)
-            if not _verify_blocks(first_bits, incoming, self.scheme, rng):
-                return ABORT
-            self.query_log += 1
-            second_bits = self.hpuf.half_bits(x, ROLE_SECOND)
-            return encode_half(second_bits, ROLE_SECOND, self.scheme, keep_bits=False)
+        y = self.hpuf.cpuf.eval(x)
+        half = self.hpuf.half_bit_count
+        if not _verify_blocks(y[:half], incoming, self.scheme, rng):
+            return ABORT
+        self.query_log += 1
+        return encode_half(y[half:], ROLE_SECOND, self.scheme, keep_bits=False)
 
 
 def server_encode(db_entry, role: str, scheme: EncodingScheme):

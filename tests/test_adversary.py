@@ -4,10 +4,10 @@ import pytest
 from hlpuf_lab import qstate
 from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, QuantumCrpDatabase,
                                  SplitAttack, extraction_stats, intercept_resend,
-                                 lr_train, multi_copy_extract, run_unforgeability_game,
-                                 split_attack_extract)
+                                 lr_train, multi_copy_extract, multi_copy_extract_batch,
+                                 run_unforgeability_game, split_attack_extract)
 from hlpuf_lab.cpuf import CpufModel, random_challenges
-from hlpuf_lab.hybrid import BB84, MUB8
+from hlpuf_lab.hybrid import BB84, MUB4, MUB8
 from hlpuf_lab.seeding import derive_rng
 
 HELSTROM_BB84 = 0.5 + 0.5 / np.sqrt(2.0)
@@ -60,17 +60,42 @@ class TestSplitAttackBb84:
             split_attack_extract(qdb, MUB8, rng)
 
     def test_vectorized_tables_agree_with_object_path(self):
-        rng = derive_rng(64)
-        attack = SplitAttack(BB84, p=0.5)
-        value_t, basis_t = attack.tables
-        for v in (0, 1):
-            for theta in (0, 1):
-                state = qstate.bb84_state(v, theta)
-                assert abs(value_t[0][0, theta, v]
-                           - (1 - attack.value_stages[0][0].probability_a(state))) < 1e-12
-                for vg in (0, 1):
-                    assert abs(basis_t[vg, theta, v]
-                               - (1 - attack.basis_stage[vg].probability_a(state))) < 1e-12
+        # every table entry is 1 - P(a) of the scalar reference measurement
+        for scheme, p, prior in ((BB84, 0.5, 1), (BB84, 0.5, 2), (BB84, 0.6, 2),
+                                 (MUB4, 0.5, 4), (MUB4, 0.5, 5),
+                                 (MUB8, 0.5, 8), (MUB8, 0.5, 9)):
+            attack = SplitAttack(scheme, p=p, prior_bases=prior)
+            fam = scheme.family()
+            value_t, basis_t = attack.tables
+            assert len(value_t) == scheme.value_bits
+            stages = list(zip(value_t, attack.value_stages))
+            if scheme.kind == "bb84":
+                stages.append((basis_t, attack.basis_stage))
+            else:
+                assert basis_t is None
+            for t, nodes in stages:
+                assert t.shape == (len(nodes), len(fam), 2 ** scheme.value_bits)
+                for prefix, meas in nodes.items():
+                    for theta in range(len(fam)):
+                        for v in range(2 ** scheme.value_bits):
+                            state = fam.basis_state(theta, v)
+                            assert abs(t[prefix, theta, v]
+                                       - (1 - meas.probability_a(state))) < 1e-12
+
+    @pytest.mark.parametrize("scheme,seed", [(BB84, 88), (MUB4, 89)])
+    def test_extracts_states_outside_the_family(self, scheme, seed):
+        # a random state is no family column: the first value bit comes out 1
+        # with the first stage's scalar probability of outcome b
+        rng = derive_rng(seed)
+        amps = rng.normal(size=scheme.block_dim) + 1j * rng.normal(size=scheme.block_dim)
+        state = qstate.PureState(amps / np.linalg.norm(amps))
+        n = 20000
+        qdb = QuantumCrpDatabase(np.zeros((n, 1), dtype=np.uint8), [[state]] * n)
+        db = split_attack_extract(qdb, scheme, rng)
+        assert db.responses.shape == (n, scheme.bits_per_block)
+        p_one = 1 - SplitAttack(scheme).value_stages[0][0].probability_a(state)
+        freq = float(np.mean(db.responses[:, 0]))
+        assert abs(freq - p_one) <= 3 * np.sqrt(p_one * (1 - p_one) / n)
 
 
 class TestSplitAttackMub8:
@@ -162,6 +187,24 @@ class TestMultiCopyExtract:
             bound = 2.0 ** (1 - k)
             sigma = np.sqrt(max(bound * (1 - bound), 1e-9) / trials)
             assert wrong / trials <= bound + 3 * sigma
+
+    def test_batch_mixed_labels_match_closed_forms(self):
+        # K=3 over all four conjugate-coding states at once: computational
+        # labels are exact; a conjugate label is split at copy 1 (then read in
+        # X, exact) w.p. 1/2, at copy 2 (coin flip) w.p. 1/4, never w.p. 1/4
+        rng = derive_rng(87)
+        n = 40000
+        values = rng.integers(0, 2, size=n)
+        bases = rng.integers(0, 2, size=n)
+        amps = np.array([qstate.bb84_state(int(v), int(b)).amplitudes
+                         for v, b in zip(values, bases)])
+        copies = np.broadcast_to(amps[:, None, :], (n, 3, 2))
+        value, basis = multi_copy_extract_batch(copies, rng)
+        z = bases == 0
+        assert np.array_equal(value[z], values[z]) and not basis[z].any()
+        sigma = np.sqrt(0.75 * 0.25 / (~z).sum())
+        assert abs(float(np.mean(basis[~z])) - 0.75) <= 3 * sigma
+        assert abs(float(np.mean(value[~z] == values[~z])) - 0.75) <= 3 * sigma
 
     def test_requires_two_copies(self):
         with pytest.raises(ValueError):

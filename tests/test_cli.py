@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hlpuf_lab import cli
@@ -50,6 +51,40 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
         assert run(["bounds", "--config", str(cfg)]) == 2
+
+    def test_attack_curve_models_one_bb84_qubit(self, tmp_path):
+        out = tmp_path / "c.csv"
+        for extra in ({"scheme": "mub4"}, {"m": 2}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": 1, **extra}))
+            assert run(["attack-curve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert run(["attack-curve", "--seed", "1", "--m", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Output bytes pinned for fixed seeds; a change that moves them must say so."""
+
+    def test_bounds_monte_carlo_bb84(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--seed", "5", "--trials", "200", "--m-list", "1,2,4",
+                    "--q-grid", "10,100", "--out", str(out)]) == 0
+        assert sha256(out) == \
+            "689e578a2dd91f3dfffb1a68d3ba1ab9faa8b380e4c0f3a4121a75d7d63fee38"
+
+    def test_protocol_intercept_session(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "31", "--rounds", "300", "--m", "4", "--n", "16",
+                    "--puf", "ideal", "--db-size", "400", "--adversary", "intercept",
+                    "--out", str(out)]) == 0
+        assert sha256(out / "session.json") == \
+            "a0b4ad3bb3ed473ee47a9c62ca1c2804a8f56c7b1e0d058ad5242b87da2eafbd"
+        assert sha256(out / "transcript.jsonl") == \
+            "132a51e9a095237998c129bf4d8549a8d04d06593d4b817faa44d55d6850a8bb"
 
 
 class TestBoundsCommand:
