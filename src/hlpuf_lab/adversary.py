@@ -271,9 +271,10 @@ def intercept_resend(state: qstate.PureState, rng: np.random.Generator) -> tuple
     """
     if state.dim != 2:
         raise ValueError("intercept_resend handles qubits only")
+    family = qstate.bb84_family()
     guess = int(rng.integers(0, 2))
-    outcome, post = qstate.measure(state, qstate.bb84_family().bases[guess], rng)
-    return post, outcome, guess
+    outcome = family.measure(state, guess, rng)
+    return family.basis_state(guess, outcome), outcome, guess
 
 
 # ---------------------------------------------------------------------------

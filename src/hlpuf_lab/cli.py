@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--threads", type=int, default=None)
 
-    # no abbreviations: a stale --m would otherwise silently mean --multi-copies
+    # no abbreviations: a stale or short flag (--m, --db) would silently change the run
     p = sub.add_parser("attack-curve", help="forgery accuracy vs training CRPs",
                        allow_abbrev=False)
     common(p)
@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--timing-log", type=str, default=None, dest="timing_log")
 
-    p = sub.add_parser("bounds", help="closed-form bound tables")
+    p = sub.add_parser("bounds", help="closed-form bound tables", allow_abbrev=False)
     common(p)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--m-list", type=_int_list, default=None, dest="m_list")
@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="when > 0, add seeded Monte Carlo p_extract_mc rows")
     p.add_argument("--scheme", choices=sorted(SCHEMES), default=None)
 
-    p = sub.add_parser("protocol", help="authentication session with a channel adversary")
+    p = sub.add_parser("protocol", help="authentication session with a channel adversary",
+                       allow_abbrev=False)
     common(p)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -505,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary", choices=("identity", "passive", "intercept"),
                    default=None)
 
-    p = sub.add_parser("selfcheck", help="run the module invariant battery")
+    p = sub.add_parser("selfcheck", help="run the module invariant battery",
+                       allow_abbrev=False)
     common(p)
     return parser
 
@@ -536,6 +538,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(**merged)
     if config.command == "attack-curve" and (config.scheme != "bb84" or config.m != 1):
         raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
+    if config.command == "protocol":
+        if config.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {config.scheme!r}")
+        per_block = SCHEMES[config.scheme].qubits_per_block
+        if config.m < 1 or config.m % per_block:
+            raise ValueError(f"m must be a positive multiple of {per_block} for {config.scheme}")
+        if config.adversary == "intercept" and config.scheme != "bb84":
+            raise ValueError("the intercept adversary measures single qubits: use scheme bb84")
     if config.out is None or config.out == "out":
         config.out = {"attack-curve": "attack_curve.csv", "bounds": "bounds.csv",
                       "protocol": "protocol_out", "selfcheck": "-"}[config.command]

@@ -110,11 +110,11 @@ class IdealBiasedPuf:
     def _uniforms(self, challenge: np.ndarray) -> np.ndarray:
         packed = np.packbits(challenge.astype(np.uint8)).tobytes()
         key = int(self.seed).to_bytes(8, "little", signed=False)
-        out = np.empty(self.out_bits)
-        for j in range(self.out_bits):
-            h = hashlib.blake2b(packed + j.to_bytes(4, "little"), key=key, digest_size=8)
-            out[j] = int.from_bytes(h.digest(), "little") / 2.0**64
-        return out
+        prefix = hashlib.blake2b(packed, key=key, digest_size=8)
+        hashes = [prefix.copy() for _ in range(self.out_bits)]
+        for j, h in enumerate(hashes):  # bit j hashes packed + j as 4 little-endian bytes
+            h.update(j.to_bytes(4, "little"))
+        return np.frombuffer(b"".join(h.digest() for h in hashes), "<u8") / 2.0**64
 
     def eval(self, challenge: np.ndarray) -> np.ndarray:
         return (self._uniforms(challenge) >= self.p).astype(np.uint8)

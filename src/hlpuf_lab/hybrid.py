@@ -177,8 +177,7 @@ def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Genera
             return False
         value = bits_to_int(block[: scheme.value_bits])
         theta = bits_to_int(block[scheme.value_bits:])
-        outcome, _ = qstate.measure(state, family.bases[theta], rng)
-        if outcome != value:
+        if family.measure(state, theta, rng) != value:
             return False
     return True
 

@@ -12,6 +12,7 @@ no-cloning); transcripts record every hook crossing for audit and replay.
 """
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,31 +51,32 @@ class ServerState:
         self.rng = rng
         self.reuse_cap = reuse_cap
         self.policy = [ChallengePolicy() for _ in range(len(db))]
+        # selectable indices in ascending order, so draws match a scan of policy
+        self.candidates = list(range(len(db)))
 
-    def selectable(self):
-        out = []
-        for idx, pol in enumerate(self.policy):
-            if pol.status == RETIRED:
-                continue
-            if (self.reuse_cap is not None and pol.status == REUSABLE
-                    and pol.accepted_rounds >= self.reuse_cap + 1):
-                continue
-            out.append(idx)
-        return out
+    def _selectable(self, pol: ChallengePolicy) -> bool:
+        return pol.status == FRESH or (pol.status == REUSABLE and (
+            self.reuse_cap is None or pol.accepted_rounds <= self.reuse_cap))
 
     def select_challenge(self) -> int:
-        candidates = self.selectable()
-        if not candidates:
+        if not self.candidates:
             raise DatabaseExhausted
-        return int(self.rng.choice(candidates))
+        # the same draw as rng.choice(self.candidates), without copying the list
+        return self.candidates[int(self.rng.integers(0, len(self.candidates)))]
 
     def record(self, idx: int, accepted: bool):
+        """Apply a round's verdict (the only writer of ``policy``); retirement is permanent."""
         pol = self.policy[idx]
+        if accepted and pol.status == RETIRED:
+            raise ValueError(f"challenge {idx} is retired")
+        was_selectable = self._selectable(pol)
         if accepted:
             pol.accepted_rounds += 1
             pol.status = REUSABLE
         else:
             pol.status = RETIRED
+        if was_selectable and not self._selectable(pol):
+            del self.candidates[bisect_left(self.candidates, idx)]
 
     def retired_count(self) -> int:
         return sum(p.status == RETIRED for p in self.policy)

@@ -206,17 +206,22 @@ def measure(state: PureState, basis: np.ndarray, rng: np.random.Generator):
         raise ValueError("basis must be a square matrix matching the state dimension")
     if not np.allclose(basis.conj().T @ basis, np.eye(dim), atol=ATOL, rtol=0.0):
         raise ValueError("basis columns are not orthonormal")
-    probs = np.abs(basis.conj().T @ state.amplitudes) ** 2
+    outcome = _born_outcome(basis.conj().T, state.amplitudes, rng)
+    return outcome, PureState(basis[:, outcome])
+
+
+def _born_outcome(adjoint: np.ndarray, amplitudes, rng: np.random.Generator) -> int:
+    """The Born kernel: one rng.random() draw over |adjoint @ amplitudes|^2 (adjoint = basis^H)."""
+    probs = np.abs(adjoint @ amplitudes) ** 2
     probs = probs / probs.sum()
     outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, dim - 1)
-    return outcome, PureState(basis[:, outcome])
+    return min(outcome, len(probs) - 1)
 
 
 class MubFamily:
     """A list of pairwise mutually unbiased orthonormal bases of one dimension."""
 
-    __slots__ = ("dim", "bases")
+    __slots__ = ("dim", "bases", "_adjoints")
 
     def __init__(self, dim: int, bases, validate: bool = True):
         self.dim = dim
@@ -227,6 +232,8 @@ class MubFamily:
             errs = self.check()
             if errs:
                 raise ValueError("; ".join(errs))
+        # conjugate transposes of the checked bases; None marks an unchecked family
+        self._adjoints = [b.conj().T for b in self.bases] if validate else None
 
     def __len__(self):
         return len(self.bases)
@@ -248,6 +255,12 @@ class MubFamily:
                 if dev > atol:
                     errs.append(f"bases {t1},{t2} not unbiased (max deviation {dev:.3e})")
         return errs
+
+    def measure(self, state: PureState, theta: int, rng: np.random.Generator) -> int:
+        """``measure(state, self.bases[theta], rng)``'s outcome, trusting the build-time check."""
+        if self._adjoints is None:
+            raise ValueError("family was built without validation; use qstate.measure")
+        return _born_outcome(self._adjoints[theta], state.amplitudes, rng)
 
     def basis_state(self, theta: int, index: int) -> PureState:
         """Column ``index`` of basis ``theta`` as a PureState."""

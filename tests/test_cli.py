@@ -61,6 +61,28 @@ class TestConfigHandling:
         assert run(["attack-curve", "--seed", "1", "--m", "2", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_abbreviated_flags_rejected(self, tmp_path):
+        assert run(["bounds", "--m", "2", "--out", str(tmp_path / "b.csv")]) == 2
+        assert run(["protocol", "--seed", "1", "--db", "5",
+                    "--out", str(tmp_path / "p")]) == 2
+        assert run(["selfcheck", "--se", "1"]) == 2
+        assert not (tmp_path / "b.csv").exists() and not (tmp_path / "p").exists()
+
+    def test_protocol_m_must_fill_whole_blocks(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        for scheme, m in (("mub8", 1), ("mub8", 4), ("mub4", 3), ("bb84", 0)):
+            assert run(["protocol", "--seed", "1", "--scheme", scheme, "--m", str(m),
+                        "--out", str(out)]) == 2
+            assert "positive multiple" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_intercept_needs_qubit_scheme(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "1", "--scheme", "mub4", "--m", "2",
+                    "--adversary", "intercept", "--out", str(out)]) == 2
+        assert "bb84" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -85,6 +107,19 @@ class TestGoldenOutputs:
             "a0b4ad3bb3ed473ee47a9c62ca1c2804a8f56c7b1e0d058ad5242b87da2eafbd"
         assert sha256(out / "transcript.jsonl") == \
             "132a51e9a095237998c129bf4d8549a8d04d06593d4b817faa44d55d6850a8bb"
+
+    def test_protocol_reuse_cap_exhaustion(self, tmp_path):
+        # 8 challenges, each accepted reuse_cap + 1 = 3 times: exhausted after 24 rounds
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "41", "--scheme", "mub4", "--m", "4",
+                    "--adversary", "identity", "--db-size", "8", "--reuse-cap", "2",
+                    "--rounds", "100", "--out", str(out)]) == 0
+        session = json.loads((out / "session.json").read_text())
+        assert session["exhausted"] and session["rounds_completed"] == 24
+        assert sha256(out / "session.json") == \
+            "1007c3af1a43e9c527af1e3305433958b2d4e6ca21663a87ca9cefc1f52a8296"
+        assert sha256(out / "transcript.jsonl") == \
+            "1392d681020ece0c5fce078cbe8b740c8271c7cee64b9b3e4c95b2b8cfcdffab"
 
 
 class TestBoundsCommand:

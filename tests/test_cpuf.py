@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,23 @@ class TestEval:
         model = cpuf.CpufModel.xor_arbiter(16, 1, 1, 1)
         with pytest.raises(ValueError):
             model.eval(np.zeros(10, dtype=np.uint8))
+
+    def test_ideal_matches_per_bit_hash(self):
+        # oracle: bit j is 1 iff blake2b(packed challenge + j as 4 little-endian
+        # bytes, keyed by the seed) / 2^64 >= p
+        model = cpuf.CpufModel.ideal(20, 48, 0.73, 4321)
+        ch = cpuf.random_challenges(20, 300, derive_rng(26))
+        key = (4321).to_bytes(8, "little")
+        uniforms = np.empty((len(ch), 48))
+        for i, c in enumerate(ch):
+            packed = np.packbits(c).tobytes()
+            for j in range(48):
+                h = hashlib.blake2b(packed + j.to_bytes(4, "little"), key=key, digest_size=8)
+                uniforms[i, j] = int.from_bytes(h.digest(), "little") / 2.0**64
+            assert np.array_equal(model.bits[0]._uniforms(c), uniforms[i])
+        expected = (uniforms >= 0.73).astype(np.uint8)
+        assert np.array_equal(model.eval_batch(ch), expected)
+        assert np.array_equal(model.eval(ch[0]), expected[0])
 
     def test_batch_matches_single(self):
         model = cpuf.CpufModel.xor_arbiter(12, 2, 4, 99)

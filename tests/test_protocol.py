@@ -64,7 +64,7 @@ class TestRunRound:
     def test_empty_database_signals_exhaustion(self):
         server, client = make_setup(db_size=1)
         rng = derive_rng(304)
-        server.policy[0].status = protocol.RETIRED
+        server.record(0, accepted=False)
         with pytest.raises(DatabaseExhausted):
             run_round(server, client, IdentityAdversary(), rng)
 
@@ -75,6 +75,48 @@ class TestRunRound:
         steps = [e["step"] for e in outcome.transcript]
         assert steps == ["encode_first", "channel", "lock", "channel", "verify"]
         assert all(e["custody_ok"] for e in outcome.transcript)
+
+
+def reference_selectable(server):
+    """The full policy scan that the incremental candidate list replaces."""
+    out = []
+    for idx, pol in enumerate(server.policy):
+        if pol.status == protocol.RETIRED:
+            continue
+        if (server.reuse_cap is not None and pol.status == protocol.REUSABLE
+                and pol.accepted_rounds >= server.reuse_cap + 1):
+            continue
+        out.append(idx)
+    return out
+
+
+class TestChallengeSelection:
+    @pytest.mark.parametrize("reuse_cap", [None, -1, 0, 1, 3])
+    def test_candidates_track_policy_scan(self, reuse_cap):
+        server, _client = make_setup(db_size=40, seed=300, reuse_cap=reuse_cap)
+        mirror = derive_rng(300, 2)  # a twin of the generator make_setup gives the server
+        steps = derive_rng(306, 1 + (reuse_cap or 0))
+        while True:
+            reference = reference_selectable(server)
+            assert server.candidates == reference
+            if not reference:
+                with pytest.raises(DatabaseExhausted):
+                    server.select_challenge()
+                break
+            idx = server.select_challenge()
+            assert idx == int(mirror.choice(reference))
+            server.record(idx, accepted=bool(steps.random() < 0.8))
+            # a repeated rejection of a retired or capped challenge changes nothing
+            stale = int(steps.integers(0, len(server.policy)))
+            if stale not in server.candidates and steps.random() < 0.5:
+                server.record(stale, accepted=False)
+
+    def test_retired_challenge_cannot_be_accepted(self):
+        server, _client = make_setup(db_size=4)
+        server.record(2, accepted=False)
+        with pytest.raises(ValueError):
+            server.record(2, accepted=True)
+        assert server.candidates == [0, 1, 3]
 
 
 class TestAdversaries:
@@ -103,7 +145,7 @@ class TestAdversaries:
             adv = StoredReplayAdversary(rng)
             r1 = run_round(server, client, adv, rng)
             # the theft round is sacrificed; force the replay onto the other challenge
-            server.policy[r1.challenge_index].status = protocol.RETIRED
+            server.record(r1.challenge_index, accepted=False)
             try:
                 r2 = run_round(server, client, adv, rng)
             except DatabaseExhausted:

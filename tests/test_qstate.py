@@ -241,6 +241,47 @@ class TestMeasure:
             qstate.measure(qstate.bb84_state(0, 0), bad, rng)
 
 
+FAMILIES = (qstate.bb84_family, qstate.mub4_family, qstate.mub8_family)
+
+
+class TestFamilyMeasure:
+    """MubFamily.measure against the validating scalar measure, draw for draw."""
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_matches_measure_on_every_family_state(self, make_family):
+        fam = make_family()
+        a, b = derive_rng(17), derive_rng(17)
+        for state_theta in range(len(fam)):
+            for value in range(fam.dim):
+                state = fam.basis_state(state_theta, value)
+                for theta in range(len(fam)):
+                    for _ in range(4):
+                        expected, _post = qstate.measure(state, fam.bases[theta], a)
+                        assert fam.measure(state, theta, b) == expected
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_matches_measure_on_random_states(self, make_family):
+        fam = make_family()
+        states = derive_rng(18)
+        a, b = derive_rng(19), derive_rng(19)
+        for _ in range(300):
+            state = random_pure(states, fam.dim)
+            theta = int(states.integers(0, len(fam)))
+            expected, _post = qstate.measure(state, fam.bases[theta], a)
+            assert fam.measure(state, theta, b) == expected
+        assert a.random() == b.random()
+
+    def test_unvalidated_family_refused(self):
+        fam = qstate.MubFamily(2, qstate.bb84_family().bases, validate=False)
+        with pytest.raises(ValueError):
+            fam.measure(qstate.bb84_state(0, 0), 0, derive_rng(20))
+
+    def test_dimension_mismatch_refused(self):
+        with pytest.raises(ValueError):
+            qstate.mub4_family().measure(qstate.bb84_state(0, 0), 0, derive_rng(21))
+
+
 class TestMubFamilies:
     def test_mub8_has_nine_bases(self):
         assert len(qstate.mub8_family()) == 9
