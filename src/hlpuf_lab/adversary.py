@@ -157,7 +157,7 @@ class SplitAttack:
     def tables(self):
         """``p_one`` of every family column, laid out [prefix, theta, value]."""
         n_theta = len(self._family)
-        cols = family_columns(self._family).reshape(n_theta * self.n_values, -1)
+        cols = self._family.columns.reshape(n_theta * self.n_values, -1)
         value_p, basis_p = self.p_one(cols)
         value_t = [p.reshape(len(p), n_theta, self.n_values) for p in value_p]
         basis_t = None if basis_p is None else basis_p.reshape(2, n_theta, self.n_values)
@@ -196,11 +196,6 @@ def _born(amps: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _helstrom_p_one(meas: qstate.TwoOutcomeMeasurement, amps: np.ndarray) -> np.ndarray:
     """Probability of outcome 1 (hypothesis b) for each amplitude row."""
     return 1.0 - np.sum(_born(amps, meas.basis)[:, meas.labels == 0], axis=1)
-
-
-def family_columns(family: qstate.MubFamily) -> np.ndarray:
-    """Amplitudes of every family state, indexed [theta, value, component]."""
-    return np.stack(family.bases).transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -524,7 +519,7 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
             # each of the multi_copies evaluations of a challenge emits the
             # same qubits, one per (value, basis) response-bit pair
             y = cpuf.eval_batch(challenges)
-            amps = family_columns(scheme.family())[y[:, 1::2], y[:, 0::2]]
+            amps = scheme.family().columns[y[:, 1::2], y[:, 0::2]]
             copies = np.broadcast_to(amps.reshape(-1, 1, 2),
                                      (amps.shape[0] * amps.shape[1], config.multi_copies, 2))
             value, basis = multi_copy_extract_batch(copies, child)

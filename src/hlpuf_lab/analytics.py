@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .adversary import _cached_attack
 from .hybrid import EncodingScheme
@@ -67,6 +66,9 @@ def _tail_direct(q: int, k0: int, s: float) -> float:
 
 
 def _tail_logspace(q: int, k0: int, s: float) -> float:
+    # imported here, its only use: scipy.special is most of the package's import time
+    from scipy.special import gammaln
+
     ks = np.arange(k0, q + 1, dtype=np.float64)
     log_terms = (gammaln(q + 1) - gammaln(ks + 1) - gammaln(q - ks + 1)
                  + ks * math.log(s) + (q - ks) * math.log1p(-s))

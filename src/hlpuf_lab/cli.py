@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, analytics, qstate
 from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extraction_stats,
-                        family_columns, lr_train, multi_copy_extract_batch)
+                        lr_train, multi_copy_extract_batch)
 from .cpuf import CpufModel, random_challenges
 from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, encode_block,
                      decode_block, int_to_bits)
@@ -151,7 +151,7 @@ def _curve_labels(mode: str, values, thetas, config: ExperimentConfig, rng):
         value_guess, _theta_guess = attack.guess_blocks_vectorized(values, thetas, rng)
         return value_guess.astype(np.uint8)
     if mode == "hpuf_adaptive":
-        amps = family_columns(BB84.family())[thetas, values]
+        amps = BB84.family().columns[thetas, values]
         copies = np.broadcast_to(amps[:, None, :], (len(amps), config.multi_copies, 2))
         value, _basis = multi_copy_extract_batch(copies, rng)
         return value
@@ -538,9 +538,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(**merged)
     if config.command == "attack-curve" and (config.scheme != "bb84" or config.m != 1):
         raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
+    if config.command in ("bounds", "protocol") and config.scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {config.scheme!r}")
     if config.command == "protocol":
-        if config.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {config.scheme!r}")
+        if config.reuse_cap is not None and config.reuse_cap < 0:
+            raise ValueError("reuse cap must be at least 0")
         per_block = SCHEMES[config.scheme].qubits_per_block
         if config.m < 1 or config.m % per_block:
             raise ValueError(f"m must be a positive multiple of {per_block} for {config.scheme}")

@@ -91,13 +91,22 @@ def int_to_bits(value: int, width: int) -> tuple:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def _block_indices(bits, scheme: EncodingScheme) -> list:
+    """(value, theta) of every block of ``bits``, read as one most-significant-first code."""
+    step = scheme.bits_per_block
+    if len(bits) % step != 0:
+        raise ValueError("bit count is not a whole number of blocks")
+    codes = np.asarray(bits, dtype=np.int64).reshape(-1, step) @ (1 << np.arange(step - 1, -1, -1))
+    # value bits come first, so the basis bits are the code's low basis_bits bits
+    return [divmod(code, scheme.bases_used) for code in codes.tolist()]
+
+
 def encode_block(bits, scheme: EncodingScheme) -> qstate.PureState:
     """One block of classical bits -> one block state (fresh object)."""
     bits = tuple(int(b) for b in bits)
     if len(bits) != scheme.bits_per_block:
         raise ValueError(f"expected {scheme.bits_per_block} bits, got {len(bits)}")
-    value = bits_to_int(bits[: scheme.value_bits])
-    theta = bits_to_int(bits[scheme.value_bits:])
+    [(value, theta)] = _block_indices(bits, scheme)
     return scheme.family().basis_state(theta, value)
 
 
@@ -121,15 +130,9 @@ class HalfResponse:
             raise ValueError("role must be 'first' or 'second'")
 
 
-def _blocks(bits, scheme: EncodingScheme):
-    if len(bits) % scheme.bits_per_block != 0:
-        raise ValueError("bit count is not a whole number of blocks")
-    step = scheme.bits_per_block
-    return [tuple(bits[i: i + step]) for i in range(0, len(bits), step)]
-
-
 def encode_half(bits, role: str, scheme: EncodingScheme, keep_bits: bool = True) -> HalfResponse:
-    states = [encode_block(block, scheme) for block in _blocks(bits, scheme)]
+    family = scheme.family()
+    states = [family.basis_state(theta, value) for value, theta in _block_indices(bits, scheme)]
     return HalfResponse(role=role, states=states,
                         classical_bits=tuple(int(b) for b in bits) if keep_bits else None)
 
@@ -168,15 +171,13 @@ class HpufDevice:
 
 def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:
     """Measure each received block in the basis named by ``bits``; all values must match."""
-    blocks = _blocks(bits, scheme)
+    blocks = _block_indices(bits, scheme)
     if len(received) != len(blocks):
         return False
     family = scheme.family()
-    for state, block in zip(received, blocks):
+    for state, (value, theta) in zip(received, blocks):
         if not isinstance(state, qstate.PureState) or state.dim != scheme.block_dim:
             return False
-        value = bits_to_int(block[: scheme.value_bits])
-        theta = bits_to_int(block[scheme.value_bits:])
         if family.measure(state, theta, rng) != value:
             return False
     return True

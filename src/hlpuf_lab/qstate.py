@@ -7,6 +7,7 @@ sampled frequencies to Monte Carlo error. All values are immutable after
 construction and randomness enters only through caller-supplied generators.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +32,13 @@ class PureState:
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+    @classmethod
+    def _wrap(cls, amplitudes: np.ndarray) -> "PureState":
+        """A new state around a read-only vector already known to be a unit vector."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -95,13 +103,7 @@ def bb84_state(bit: int, basis: int) -> PureState:
     """Conjugate-coding qubit: basis 0 gives {|0>,|1>}[bit], basis 1 gives {|+>,|->}[bit]."""
     if bit not in (0, 1) or basis not in (0, 1):
         raise ValueError("bit and basis must be 0 or 1")
-    if basis == 0:
-        amp = np.zeros(2, dtype=complex)
-        amp[bit] = 1.0
-    else:
-        s = 1.0 if bit == 0 else -1.0
-        amp = np.array([1.0, s], dtype=complex) / np.sqrt(2.0)
-    return PureState(amp)
+    return bb84_family().basis_state(basis, bit)
 
 
 def mixture(states) -> DensityMatrix:
@@ -206,34 +208,51 @@ def measure(state: PureState, basis: np.ndarray, rng: np.random.Generator):
         raise ValueError("basis must be a square matrix matching the state dimension")
     if not np.allclose(basis.conj().T @ basis, np.eye(dim), atol=ATOL, rtol=0.0):
         raise ValueError("basis columns are not orthonormal")
-    outcome = _born_outcome(basis.conj().T, state.amplitudes, rng)
+    outcome = _draw(_born_cdf(basis.conj().T, state.amplitudes), rng)
     return outcome, PureState(basis[:, outcome])
 
 
-def _born_outcome(adjoint: np.ndarray, amplitudes, rng: np.random.Generator) -> int:
-    """The Born kernel: one rng.random() draw over |adjoint @ amplitudes|^2 (adjoint = basis^H)."""
+def _born_cdf(adjoint: np.ndarray, amplitudes) -> np.ndarray:
+    """The Born kernel: cumulative normalised |adjoint @ amplitudes|^2 (adjoint = basis^H)."""
     probs = np.abs(adjoint @ amplitudes) ** 2
     probs = probs / probs.sum()
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return min(outcome, len(probs) - 1)
+    return np.cumsum(probs)
+
+
+def _draw(cdf, rng: np.random.Generator) -> int:
+    """One rng.random() draw against a Born CDF: the first index whose CDF exceeds it."""
+    return min(bisect_right(cdf, rng.random()), len(cdf) - 1)
 
 
 class MubFamily:
-    """A list of pairwise mutually unbiased orthonormal bases of one dimension."""
+    """A list of pairwise mutually unbiased orthonormal bases of one dimension.
 
-    __slots__ = ("dim", "bases", "_adjoints")
+    A validated family also builds, once, ``columns[theta, value]`` (the
+    amplitudes of every basis state) and the Born CDF of every column in every
+    basis of the family, so that family states are neither re-validated nor
+    re-measured through the kernel.
+    """
+
+    __slots__ = ("dim", "bases", "columns", "_adjoints", "_cdfs")
 
     def __init__(self, dim: int, bases, validate: bool = True):
         self.dim = dim
         self.bases = [np.asarray(b, dtype=complex) for b in bases]
         for b in self.bases:
             b.setflags(write=False)
-        if validate:
-            errs = self.check()
-            if errs:
-                raise ValueError("; ".join(errs))
-        # conjugate transposes of the checked bases; None marks an unchecked family
-        self._adjoints = [b.conj().T for b in self.bases] if validate else None
+        # None below marks an unchecked family
+        self.columns = self._adjoints = self._cdfs = None
+        if not validate:
+            return
+        errs = self.check()
+        if errs:
+            raise ValueError("; ".join(errs))
+        self.columns = np.ascontiguousarray(np.stack(self.bases).transpose(0, 2, 1))
+        self.columns.setflags(write=False)
+        self._adjoints = [b.conj().T for b in self.bases]
+        # the kernel's own output for each column, keyed by its amplitude bytes
+        self._cdfs = {col.tobytes(): [_born_cdf(adj, col).tolist() for adj in self._adjoints]
+                      for col in self.columns.reshape(-1, dim)}
 
     def __len__(self):
         return len(self.bases)
@@ -260,11 +279,16 @@ class MubFamily:
         """``measure(state, self.bases[theta], rng)``'s outcome, trusting the build-time check."""
         if self._adjoints is None:
             raise ValueError("family was built without validation; use qstate.measure")
-        return _born_outcome(self._adjoints[theta], state.amplitudes, rng)
+        cdfs = self._cdfs.get(state.amplitudes.tobytes())
+        if cdfs is None:  # not a family state
+            return _draw(_born_cdf(self._adjoints[theta], state.amplitudes), rng)
+        return _draw(cdfs[theta], rng)
 
     def basis_state(self, theta: int, index: int) -> PureState:
-        """Column ``index`` of basis ``theta`` as a PureState."""
-        return PureState(self.bases[theta][:, index])
+        """Column ``index`` of basis ``theta`` as a new PureState object."""
+        if self.columns is None:
+            return PureState(self.bases[theta][:, index])
+        return PureState._wrap(self.columns[theta, index])
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

@@ -84,6 +84,22 @@ class TestConfigHandling:
         assert not out.exists()
 
 
+    def test_bounds_unknown_scheme_rejected(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        cfg = tmp_path / "cfg.json"
+        for trials in (5, 0):
+            cfg.write_text(json.dumps({"scheme": "bogus", "trials": trials}))
+            assert run(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+            assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_reuse_cap_rejected(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "1", "--reuse-cap", "-1", "--out", str(out)]) == 2
+        assert "reuse cap" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -120,6 +136,19 @@ class TestGoldenOutputs:
             "1007c3af1a43e9c527af1e3305433958b2d4e6ca21663a87ca9cefc1f52a8296"
         assert sha256(out / "transcript.jsonl") == \
             "1392d681020ece0c5fce078cbe8b740c8271c7cee64b9b3e4c95b2b8cfcdffab"
+
+
+    def test_protocol_mub8_passive_session(self, tmp_path):
+        # eight-amplitude blocks: the one dimension whose Born normalising sum
+        # takes numpy's unrolled pairwise order
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "53", "--scheme", "mub8", "--m", "6",
+                    "--puf", "ideal", "--adversary", "passive", "--db-size", "16",
+                    "--reuse-cap", "3", "--rounds", "60", "--out", str(out)]) == 0
+        assert sha256(out / "session.json") == \
+            "7c15d9934867bd8215ef0e462e2fbb2a942b73de9b00b7ad4014937991b923ac"
+        assert sha256(out / "transcript.jsonl") == \
+            "0c0708dd28eb333eb18f69017f7662e7c39696b03d553e49bbcd1ee95e4697c6"
 
 
 class TestBoundsCommand:

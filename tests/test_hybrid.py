@@ -62,6 +62,20 @@ class TestEncodeBlock:
                     state = hybrid.encode_block(bits, scheme)
                     assert hybrid.decode_block(state, theta, scheme) == bits
 
+    def test_half_decoder_matches_per_block_packing(self):
+        rng = derive_rng(52)
+        for scheme in (BB84, MUB4, MUB8):
+            step, vb = scheme.bits_per_block, scheme.value_bits
+            bits = rng.integers(0, 2, size=5 * step, dtype=np.uint8)
+            expected = [(hybrid.bits_to_int(bits[i:i + vb]),
+                         hybrid.bits_to_int(bits[i + vb:i + step]))
+                        for i in range(0, len(bits), step)]
+            assert hybrid._block_indices(bits, scheme) == expected
+            assert hybrid._block_indices(tuple(int(b) for b in bits), scheme) == expected
+            assert hybrid._block_indices((), scheme) == []
+            with pytest.raises(ValueError):
+                hybrid._block_indices(bits[:-1], scheme)
+
 
 class TestHpufEval:
     def test_half_sizes_bb84(self):

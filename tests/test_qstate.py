@@ -29,6 +29,16 @@ class TestBb84State:
         with pytest.raises(ValueError):
             qstate.bb84_state(2, 0)
 
+    def test_amplitudes_bit_equal_to_the_formula(self):
+        for bit in (0, 1):
+            for basis in (0, 1):
+                if basis == 0:
+                    amp = np.zeros(2, dtype=complex)
+                    amp[bit] = 1.0
+                else:
+                    amp = np.array([1.0, 1.0 - 2.0 * bit], dtype=complex) / np.sqrt(2.0)
+                assert qstate.bb84_state(bit, basis).amplitudes.tobytes() == amp.tobytes()
+
 
 class TestPureState:
     def test_rejects_unnormalized(self):
@@ -280,6 +290,90 @@ class TestFamilyMeasure:
     def test_dimension_mismatch_refused(self):
         with pytest.raises(ValueError):
             qstate.mub4_family().measure(qstate.bb84_state(0, 0), 0, derive_rng(21))
+
+
+class FixedDraw:
+    """Stands in for a generator whose next rng.random() is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestBornDraw:
+    def test_matches_searchsorted_right(self):
+        rng = derive_rng(24)
+        for dim in qstate.SUPPORTED_DIMS:
+            for _ in range(100):
+                probs = rng.random(dim) * (rng.random(dim) < 0.7)
+                if probs.sum() == 0.0:
+                    continue
+                cdf = np.cumsum(probs / probs.sum())
+                for u in (*cdf, *rng.random(4), 0.0, np.nextafter(cdf[-1], 2.0)):
+                    expected = min(int(np.searchsorted(cdf, u, side="right")), dim - 1)
+                    assert qstate._draw(cdf, FixedDraw(float(u))) == expected
+                    assert qstate._draw(cdf.tolist(), FixedDraw(float(u))) == expected
+
+
+class TestFamilyTables:
+    """Columns and Born CDFs that a validated family builds once."""
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_columns_are_the_basis_columns(self, make_family):
+        fam = make_family()
+        assert fam.columns.shape == (len(fam), fam.dim, fam.dim)
+        assert fam.columns.flags.c_contiguous and not fam.columns.flags.writeable
+        for theta, basis in enumerate(fam.bases):
+            for value in range(fam.dim):
+                assert fam.columns[theta, value].tobytes() == basis[:, value].tobytes()
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_cached_cdfs_are_the_kernel_output(self, make_family):
+        fam = make_family()
+        assert len(fam._cdfs) == len(fam) * fam.dim
+        for col in fam.columns.reshape(-1, fam.dim):
+            cached = fam._cdfs[col.tobytes()]
+            assert len(cached) == len(fam)
+            for theta, basis in enumerate(fam.bases):
+                probs = np.abs(basis.conj().T @ col) ** 2
+                expected = np.cumsum(probs / probs.sum())
+                assert np.array(cached[theta]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_family_states_skip_the_kernel(self, make_family, monkeypatch):
+        fam = make_family()
+        states = [fam.basis_state(t, v) for t in range(len(fam)) for v in range(fam.dim)]
+
+        def kernel(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(qstate, "_born_cdf", kernel)
+        rng = derive_rng(22)
+        for state in states:
+            for theta in range(len(fam)):
+                fam.measure(state, theta, rng)
+        with pytest.raises(AssertionError):
+            fam.measure(random_pure(derive_rng(23), fam.dim), 0, rng)
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_basis_state_is_a_new_object_on_its_column(self, make_family):
+        fam = make_family()
+        for theta in range(len(fam)):
+            for value in range(fam.dim):
+                a, b = fam.basis_state(theta, value), fam.basis_state(theta, value)
+                assert a is not b
+                assert not a.amplitudes.flags.writeable
+                assert a.amplitudes.tobytes() == fam.columns[theta, value].tobytes()
+
+    def test_unvalidated_family_keeps_the_checking_constructor(self):
+        fam = qstate.MubFamily(2, [np.eye(2), 2.0 * np.eye(2)], validate=False)
+        assert fam.columns is None
+        assert fam.check()
+        assert fam.basis_state(0, 1).isclose(qstate.PureState([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            fam.basis_state(1, 0)
 
 
 class TestMubFamilies:
