@@ -18,8 +18,8 @@ import numpy as np
 
 from . import qstate
 from .cpuf import CpufModel, random_challenges, transform_batch
-from .hybrid import (ABORT, ROLE_FIRST, ROLE_SECOND, EncodingScheme, HpufDevice,
-                     HlpufDevice, encode_half, int_to_bits, server_verify)
+from .hybrid import (ABORT, EncodingScheme, HpufDevice, HlpufDevice, encode_half, int_to_bits,
+                     server_verify)
 
 @dataclass
 class CrpDatabase:
@@ -446,13 +446,10 @@ class GameConfig:
 def build_weak_quantum_db(device: HpufDevice, q: int, rng: np.random.Generator):
     """(QuantumCrpDatabase over both halves, ground-truth CrpDatabase)."""
     challenges = random_challenges(device.cpuf.n, q, rng)
-    states, truths = [], []
-    for x in challenges:
-        first, second = device.hpuf_eval(x)
-        states.append(list(first.states) + list(second.states))
-        truths.append(first.classical_bits + second.classical_bits)
-    qdb = QuantumCrpDatabase(challenges=challenges, states=states)
-    truth = CrpDatabase(challenges=challenges, responses=np.array(truths, dtype=np.uint8))
+    truths = [device.cpuf.eval(x) for x in challenges]
+    qdb = QuantumCrpDatabase(challenges=challenges,
+                             states=[encode_half(y, device.scheme) for y in truths])
+    truth = CrpDatabase(challenges=challenges, responses=np.array(truths))
     return qdb, truth
 
 
@@ -535,11 +532,11 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
             challenges = random_challenges(config.n, q, child)
             states = []
             for x in challenges:
-                first, _second = device.hpuf_eval(x)  # server-side transmission
-                out = locked.lock_query(x, first.states, child)
+                first = encode_half(cpuf.eval(x)[:half], scheme)  # server-side transmission
+                out = locked.lock_query(x, first, child)
                 if out is ABORT:  # honest replay always passes
                     raise AssertionError("honest replay rejected by the lock")
-                states.append(list(out.states))
+                states.append(out)
             qdb = QuantumCrpDatabase(challenges=challenges, states=states)
             db = split_attack_extract(qdb, scheme, child)
             bit_models = _train_bit_models(db, config.k, lr, range(half))
@@ -575,14 +572,11 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
                     bits = true_bits
                 else:
                     bits = _forge_bits(bit_models, x_star)
-                if target == TARGET_HLPUF or second_half_only:
-                    expected = encode_half(true_bits[half:], ROLE_SECOND, scheme)
-                    forged = encode_half(bits[-half:], ROLE_SECOND, scheme)
-                    win = server_verify(expected, forged.states, scheme, child)
-                else:
-                    expected = encode_half(true_bits, ROLE_FIRST, scheme)
-                    forged = encode_half(bits, ROLE_FIRST, scheme)
-                    win = server_verify(expected, forged.states, scheme, child)
+                # the locked device's server verifies only the second half
+                second_only = target == TARGET_HLPUF or second_half_only
+                expected = true_bits[half:] if second_only else true_bits
+                win = server_verify(expected, encode_half(bits[-len(expected):], scheme),
+                                    scheme, child)
             wins += int(win)
             trial_wins += int(win)
             total += 1

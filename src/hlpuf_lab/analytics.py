@@ -27,29 +27,6 @@ class Bound(NamedTuple):
     raw: float
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Parameter record for the bound family."""
-
-    p: float = 0.5          # CPUF randomness
-    m: int = 1              # qubits per half
-    q: int = 1              # query count
-    eps: float = 0.0        # tolerated extraction-error fraction
-    k: int = 0              # challenge reuse count
-    zeta: float = 0.0       # verification error fraction
-    delta_r: float = 0.0    # bias offset p - 1/2
-
-    def __post_init__(self):
-        if not 0.5 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0.5, 1]")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError("eps must lie in [0, 1]")
-        if self.k < 0 or self.q < 1 or self.m < 1:
-            raise ValueError("k >= 0, q >= 1, m >= 1 required")
-        if not 0.0 <= self.zeta <= 0.5 or not 0.0 <= self.delta_r <= 0.5:
-            raise ValueError("zeta and delta_r must lie in [0, 1/2]")
-
-
 def p_guess_bound(p: float) -> Bound:
     """Single-bit guessing bound p(1 + sqrt(p^2 + (1-p)^2)), clamped to 1."""
     if not 0.5 <= p <= 1.0:

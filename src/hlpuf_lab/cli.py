@@ -25,8 +25,8 @@ from . import __version__, analytics, qstate
 from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extraction_stats,
                         lr_train, multi_copy_extract_batch)
 from .cpuf import CpufModel, random_challenges
-from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, encode_block,
-                     decode_block, int_to_bits)
+from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, decode_block, encode_half,
+                     int_to_bits, server_verify)
 from .protocol import (IdentityAdversary, InterceptResendAdversary, PassiveObserver,
                        ServerState, ClientState, run_session, write_transcript)
 from .seeding import derive_rng
@@ -234,12 +234,6 @@ BOUNDS_COLUMNS = "family,p,m,q,eps,k,zeta,delta_r,value,raw"
 
 
 def cmd_bounds(config: ExperimentConfig) -> int:
-    for m in config.m_list:
-        for eps in config.eps_list:
-            for zeta in config.zeta_list:
-                analytics.BoundInputs(p=config.p, m=int(m), q=int(max(config.q_grid)),
-                                      eps=float(eps), k=int(max(config.k_list)),
-                                      zeta=float(zeta), delta_r=config.delta_r)
     rows = []
     pg = analytics.p_guess_bound(config.p)
     rows.append(("p_guess", repr(config.p), "", "", "", "", "", "",
@@ -394,7 +388,7 @@ def _selfcheck_battery(seed: int):
             for theta in range(scheme.bases_used):
                 bits = int_to_bits(value, scheme.value_bits) + int_to_bits(
                     theta, scheme.basis_bits)
-                state = encode_block(bits, scheme)
+                [state] = encode_half(bits, scheme)
                 if decode_block(state, theta, scheme) != bits:
                     ok = False
     checks.append(("encode_decode_bijectivity", ok, ""))
@@ -404,12 +398,9 @@ def _selfcheck_battery(seed: int):
     checks.append(("cpuf_determinism", bool(np.array_equal(model.eval(c), model.eval(c))), ""))
 
     device = HlpufDevice(HpufDevice(model, BB84))
-    first, second = device.hpuf.hpuf_eval(c)
-    reply = device.lock_query(c, list(first.states), rng)
-    ok = reply is not ABORT
-    if ok:
-        from .hybrid import server_verify
-        ok = server_verify(second, reply.states, BB84, rng)
+    y = model.eval(c)
+    reply = device.lock_query(c, encode_half(y[:2], BB84), rng)
+    ok = reply is not ABORT and server_verify(y[2:], reply, BB84, rng)
     checks.append(("honest_round_trip", ok, ""))
 
     pinned = analytics.p_extract_bound(10, 0.2, 1, 0.0, block_success=0.5)
@@ -512,6 +503,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_bound_inputs(config: ExperimentConfig) -> None:
+    """Every list entry of a bounds run is checked before any row is computed."""
+    if not config.q_grid or not config.eps_list:
+        raise ValueError("q-grid and eps-list need at least one entry")
+    if not 0.5 <= config.p <= 1.0:
+        raise ValueError("p must lie in [0.5, 1]")
+    if any(m < 1 for m in config.m_list) or any(q < 1 for q in config.q_grid):
+        raise ValueError("every m and every q must be at least 1")
+    if any(k < 0 for k in config.k_list):
+        raise ValueError("every k must be at least 0")
+    if not all(0.0 <= eps <= 1.0 for eps in config.eps_list):
+        raise ValueError("every eps must lie in [0, 1]")
+    if not all(0.0 <= z <= 0.5 for z in (*config.zeta_list, config.delta_r)):
+        raise ValueError("every zeta and delta_r must lie in [0, 1/2]")
+    if config.trials < 0:
+        raise ValueError("trials must be at least 0")
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     base = {}
     if getattr(args, "config", None):
@@ -540,6 +549,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
     if config.command in ("bounds", "protocol") and config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}")
+    if config.command == "bounds":
+        _check_bound_inputs(config)
     if config.command == "protocol":
         if config.reuse_cap is not None and config.reuse_cap < 0:
             raise ValueError("reuse cap must be at least 0")

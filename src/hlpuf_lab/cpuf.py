@@ -2,8 +2,7 @@
 
 Additive-delay arbiter chains, k-XOR composition, and an ideal biased random
 function, widened to multi-bit outputs by instantiating independent single-bit
-instances. Evaluation is a pure function of (model, challenge); an optional
-response-flip noise knob (default 0) exists for sensitivity runs only.
+instances. Evaluation is a pure, noiseless function of (model, challenge).
 """
 
 import hashlib
@@ -135,22 +134,17 @@ class CpufModel:
     seed: int
     k: int = 1
     p: float = 0.5
-    noise_rate: float = 0.0
     bits: tuple = field(default=(), repr=False)  # per-output-bit evaluators
 
     @classmethod
-    def xor_arbiter(cls, n: int, k: int, out_bits: int, seed: int,
-                    noise_rate: float = 0.0) -> "CpufModel":
+    def xor_arbiter(cls, n: int, k: int, out_bits: int, seed: int) -> "CpufModel":
         pufs = tuple(XorArbiterPuf.random(n, k, derive_rng(seed, j)) for j in range(out_bits))
-        return cls(kind=KIND_XOR, n=n, out_bits=out_bits, seed=seed, k=k,
-                   noise_rate=noise_rate, bits=pufs)
+        return cls(kind=KIND_XOR, n=n, out_bits=out_bits, seed=seed, k=k, bits=pufs)
 
     @classmethod
-    def ideal(cls, n: int, out_bits: int, p: float, seed: int,
-              noise_rate: float = 0.0) -> "CpufModel":
+    def ideal(cls, n: int, out_bits: int, p: float, seed: int) -> "CpufModel":
         puf = IdealBiasedPuf(n=n, out_bits=out_bits, p=p, seed=seed)
-        return cls(kind=KIND_IDEAL, n=n, out_bits=out_bits, seed=seed, p=p,
-                   noise_rate=noise_rate, bits=(puf,))
+        return cls(kind=KIND_IDEAL, n=n, out_bits=out_bits, seed=seed, p=p, bits=(puf,))
 
     @classmethod
     def from_chains(cls, weight_arrays, seed: int = 0) -> "CpufModel":
@@ -162,45 +156,30 @@ class CpufModel:
         k = pufs[0].k
         return cls(kind=KIND_XOR, n=n, out_bits=len(pufs), seed=seed, k=k, bits=tuple(pufs))
 
-    def eval(self, challenge, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Response bits for one challenge. `rng` is required only when noise_rate > 0."""
+    def eval(self, challenge) -> np.ndarray:
+        """Response bits for one challenge."""
         c = np.asarray(challenge, dtype=np.uint8)
         if c.shape != (self.n,):
             raise ValueError(f"challenge must have length {self.n}")
         if self.kind == KIND_IDEAL:
-            resp = self.bits[0].eval(c)
-        else:
-            features = transform_batch(c[None, :])
-            resp = np.array([puf.eval_batch(features)[0] for puf in self.bits], dtype=np.uint8)
-        if self.noise_rate > 0.0:
-            if rng is None:
-                raise ValueError("noise_rate > 0 requires an rng")
-            flips = rng.random(self.out_bits) < self.noise_rate
-            resp = resp ^ flips.astype(np.uint8)
-        return resp
+            return self.bits[0].eval(c)
+        features = transform_batch(c[None, :])
+        return np.array([puf.eval_batch(features)[0] for puf in self.bits], dtype=np.uint8)
 
-    def eval_batch(self, challenges: np.ndarray,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+    def eval_batch(self, challenges: np.ndarray) -> np.ndarray:
         """(N, out_bits) responses for an (N, n) array of challenges."""
         ch = np.asarray(challenges, dtype=np.uint8)
         if self.kind == KIND_IDEAL:
-            resp = np.stack([self.bits[0].eval(row) for row in ch])
-        else:
-            features = transform_batch(ch)
-            resp = np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)
-        if self.noise_rate > 0.0:
-            if rng is None:
-                raise ValueError("noise_rate > 0 requires an rng")
-            flips = rng.random(resp.shape) < self.noise_rate
-            resp = resp ^ flips.astype(np.uint8)
-        return resp
+            return np.stack([self.bits[0].eval(row) for row in ch])
+        features = transform_batch(ch)
+        return np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)
 
     def sibling(self, rng: np.random.Generator) -> "CpufModel":
         """Independently seeded model of the same shape (for uniqueness metrics)."""
         seed = int(rng.integers(0, 2**31 - 1))
         if self.kind == KIND_IDEAL:
-            return CpufModel.ideal(self.n, self.out_bits, self.p, seed, self.noise_rate)
-        return CpufModel.xor_arbiter(self.n, self.k, self.out_bits, seed, self.noise_rate)
+            return CpufModel.ideal(self.n, self.out_bits, self.p, seed)
+        return CpufModel.xor_arbiter(self.n, self.k, self.out_bits, seed)
 
 
 def random_challenges(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,24 +192,17 @@ def quality_metrics(model: CpufModel, sample_count: int, rng: np.random.Generato
     bias_estimate is the largest per-bit frequency of either value (the
     p-randomness estimate); inter_distance is the mean fractional Hamming
     distance to an independently seeded sibling on shared challenges;
-    intra_distance is 0 for noiseless models and is reported for completeness.
+    intra_distance is 0, since evaluation is noiseless.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
     challenges = random_challenges(model.n, sample_count, rng)
-    noise_rng = derive_rng(int(rng.integers(0, 2**31 - 1))) if model.noise_rate > 0 else None
-    resp = model.eval_batch(challenges, rng=noise_rng)
+    resp = model.eval_batch(challenges)
     ones = resp.mean(axis=0)
     bias = float(np.max(np.maximum(ones, 1.0 - ones)))
-    other = model.sibling(rng)
-    resp_other = other.eval_batch(challenges, rng=noise_rng)
+    resp_other = model.sibling(rng).eval_batch(challenges)
     inter = float(np.mean(resp != resp_other))
-    if model.noise_rate > 0:
-        resp_again = model.eval_batch(challenges, rng=noise_rng)
-        intra = float(np.mean(resp != resp_again))
-    else:
-        intra = 0.0
-    return {"bias_estimate": bias, "inter_distance": inter, "intra_distance": intra}
+    return {"bias_estimate": bias, "inter_distance": inter, "intra_distance": 0.0}
 
 
 def save_model(model: CpufModel, path) -> None:
@@ -238,7 +210,7 @@ def save_model(model: CpufModel, path) -> None:
     lines = [FORMAT_HEADER]
     lines.append(
         f"kind={model.kind} n={model.n} k={model.k} out_bits={model.out_bits} "
-        f"seed={model.seed} p={model.p!r} noise_rate={model.noise_rate!r}"
+        f"seed={model.seed} p={model.p!r}"
     )
     if model.kind == KIND_XOR:
         for bit_idx, puf in enumerate(model.bits):
@@ -258,9 +230,12 @@ def load_model(path) -> CpufModel:
     kind = fields["kind"]
     n, k = int(fields["n"]), int(fields["k"])
     out_bits, seed = int(fields["out_bits"]), int(fields["seed"])
-    p, noise_rate = float(fields["p"]), float(fields["noise_rate"])
+    p = float(fields["p"])
+    # v1 files may carry a noise_rate field; evaluation is noiseless, so only 0 loads
+    if float(fields.get("noise_rate", 0.0)) != 0.0:
+        raise ValueError("noisy CPUF models are not supported")
     if kind == KIND_IDEAL:
-        return CpufModel.ideal(n, out_bits, p, seed, noise_rate)
+        return CpufModel.ideal(n, out_bits, p, seed)
     weights = {}
     for ln in lines[2:]:
         parts = ln.split()
@@ -271,4 +246,4 @@ def load_model(path) -> CpufModel:
     arrays = [[weights[(b, c)] for c in range(k)] for b in range(out_bits)]
     model = CpufModel.from_chains(arrays, seed=seed)
     return CpufModel(kind=KIND_XOR, n=n, out_bits=out_bits, seed=seed, k=k,
-                     p=p, noise_rate=noise_rate, bits=model.bits)
+                     p=p, bits=model.bits)

@@ -7,6 +7,9 @@ second half only after verifying incoming first-half states by measuring each
 block in the basis dictated by its own response bits; any failure yields the
 distinguished abort value ABORT and releases nothing.
 
+A half has two forms: its bits, which only the device and the server's CRP
+database hold, and on the wire a list of fresh block states.
+
 Block layout: a block of ``bits_per_block`` bits is value bits first (most
 significant first), then basis bits selecting one of the scheme's bases.
 With 2^b basis bits addressing a family of 2^b + 1 bases, the last basis is
@@ -39,9 +42,6 @@ class _AbortType:
 
 
 ABORT = _AbortType()
-
-ROLE_FIRST = "first"
-ROLE_SECOND = "second"
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,6 @@ def _block_indices(bits, scheme: EncodingScheme) -> list:
     return [divmod(code, scheme.bases_used) for code in codes.tolist()]
 
 
-def encode_block(bits, scheme: EncodingScheme) -> qstate.PureState:
-    """One block of classical bits -> one block state (fresh object)."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != scheme.bits_per_block:
-        raise ValueError(f"expected {scheme.bits_per_block} bits, got {len(bits)}")
-    [(value, theta)] = _block_indices(bits, scheme)
-    return scheme.family().basis_state(theta, value)
-
-
 def decode_block(state: qstate.PureState, theta: int, scheme: EncodingScheme) -> tuple:
     """Recover a block's bits given its basis index (bijectivity helper)."""
     column_overlaps = np.abs(scheme.family().bases[theta].conj().T @ state.amplitudes) ** 2
@@ -117,24 +108,10 @@ def decode_block(state: qstate.PureState, theta: int, scheme: EncodingScheme) ->
     return int_to_bits(value, scheme.value_bits) + int_to_bits(theta, scheme.basis_bits)
 
 
-@dataclass
-class HalfResponse:
-    """One half of an encoded response: block states plus, server-side, the bits."""
-
-    role: str
-    states: list
-    classical_bits: tuple | None = None
-
-    def __post_init__(self):
-        if self.role not in (ROLE_FIRST, ROLE_SECOND):
-            raise ValueError("role must be 'first' or 'second'")
-
-
-def encode_half(bits, role: str, scheme: EncodingScheme, keep_bits: bool = True) -> HalfResponse:
+def encode_half(bits, scheme: EncodingScheme) -> list:
+    """Block states of a half's bits: the wire form, one fresh PureState per block."""
     family = scheme.family()
-    states = [family.basis_state(theta, value) for value, theta in _block_indices(bits, scheme)]
-    return HalfResponse(role=role, states=states,
-                        classical_bits=tuple(int(b) for b in bits) if keep_bits else None)
+    return [family.basis_state(theta, value) for value, theta in _block_indices(bits, scheme)]
 
 
 class HpufDevice:
@@ -150,23 +127,11 @@ class HpufDevice:
     def half_bit_count(self) -> int:
         return self.cpuf.out_bits // 2
 
-    @property
-    def blocks_per_half(self) -> int:
-        return self.half_bit_count // self.scheme.bits_per_block
-
-    def half_bits(self, x, role: str) -> tuple:
-        y = self.cpuf.eval(x)
-        half = self.half_bit_count
-        sl = y[:half] if role == ROLE_FIRST else y[half:]
-        return tuple(int(b) for b in sl)
-
     def hpuf_eval(self, x) -> tuple:
-        """(first HalfResponse, second HalfResponse); one CPUF evaluation."""
+        """(first-half states, second-half states); one CPUF evaluation."""
         y = self.cpuf.eval(x)
         half = self.half_bit_count
-        first = encode_half(y[:half], ROLE_FIRST, self.scheme)
-        second = encode_half(y[half:], ROLE_SECOND, self.scheme)
-        return first, second
+        return encode_half(y[:half], self.scheme), encode_half(y[half:], self.scheme)
 
 
 def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:
@@ -199,33 +164,18 @@ class HlpufDevice:
         return self.hpuf.scheme
 
     def lock_query(self, x, incoming, rng: np.random.Generator):
-        """Second HalfResponse if the incoming first half verifies, else ABORT.
+        """Second-half states if the incoming first half verifies, else ABORT.
 
         Wrong arity or wrong block dimension counts as failed verification.
-        The returned half carries no classical bits (wire object).
         """
         y = self.hpuf.cpuf.eval(x)
         half = self.hpuf.half_bit_count
         if not _verify_blocks(y[:half], incoming, self.scheme, rng):
             return ABORT
         self.query_log += 1
-        return encode_half(y[half:], ROLE_SECOND, self.scheme, keep_bits=False)
+        return encode_half(y[half:], self.scheme)
 
 
-def server_encode(db_entry, role: str, scheme: EncodingScheme):
-    """Encode one database entry's half: (x, y) -> (x, HalfResponse with bits retained)."""
-    x, y = db_entry
-    y = np.asarray(y, dtype=np.uint8)
-    if len(y) % 2 != 0:
-        raise ValueError("response width must be even")
-    half = len(y) // 2
-    bits = y[:half] if role == ROLE_FIRST else y[half:]
-    return x, encode_half(bits, role, scheme)
-
-
-def server_verify(expected: HalfResponse, received, scheme: EncodingScheme,
-                  rng: np.random.Generator) -> bool:
-    """Measurement verification of a received half against the expected classical bits."""
-    if expected.classical_bits is None:
-        raise ValueError("expected half must carry classical bits")
-    return _verify_blocks(expected.classical_bits, received, scheme, rng)
+def server_verify(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:
+    """The server's measurement check of a returned half against its stored bits."""
+    return _verify_blocks(bits, received, scheme, rng)

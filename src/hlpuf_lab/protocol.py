@@ -19,8 +19,7 @@ import numpy as np
 
 from . import qstate
 from .adversary import CrpDatabase, intercept_resend
-from .hybrid import (ABORT, ROLE_FIRST, ROLE_SECOND, EncodingScheme, HlpufDevice,
-                     server_encode, server_verify)
+from .hybrid import ABORT, EncodingScheme, HlpufDevice, encode_half, server_verify
 
 STATUS_ACCEPTED = "accepted"
 STATUS_CLIENT_ABORT = "client_abort"
@@ -46,7 +45,10 @@ class ServerState:
 
     def __init__(self, db: CrpDatabase, scheme: EncodingScheme,
                  rng: np.random.Generator, reuse_cap: int | None = None):
+        if db.responses.shape[1] % (2 * scheme.bits_per_block):
+            raise ValueError("responses must split into two halves of whole blocks")
         self.db = db
+        self.half_bits = db.responses.shape[1] // 2
         self.scheme = scheme
         self.rng = rng
         self.reuse_cap = reuse_cap
@@ -119,7 +121,7 @@ class PassiveObserver(ChannelAdversary):
         self.seen = []
 
     def forward(self, x, states, transcript):
-        self.seen.append(tuple(int(b) for b in x))
+        self.seen.append(tuple(x.tolist()))
         return states
 
     def guess_half_bits(self, x, bit_count: int):
@@ -145,7 +147,7 @@ class InterceptResendAdversary(ChannelAdversary):
             post, bit, basis = intercept_resend(s, self.rng)
             resent.append(post)
             recs.append((bit, basis))
-        self.records.setdefault((tuple(int(b) for b in x), direction), []).append(recs)
+        self.records.setdefault((tuple(x.tolist()), direction), []).append(recs)
         return resent
 
     def forward(self, x, states, transcript):
@@ -155,7 +157,7 @@ class InterceptResendAdversary(ChannelAdversary):
         return self._tap(x, states, "backward") if self.on_backward else states
 
     def guess_half_bits(self, x, bit_count: int):
-        recs = self.records.get((tuple(int(b) for b in x), "forward"))
+        recs = self.records.get((tuple(x.tolist()), "forward"))
         if not recs:
             return None
         bits = []
@@ -187,7 +189,6 @@ class StoredReplayAdversary(ChannelAdversary):
 class RoundOutcome:
     status: str
     challenge_index: int
-    challenge: tuple
     transcript: list = field(default_factory=list)
 
 
@@ -209,12 +210,11 @@ def run_round(server: ServerState, client: ClientState, adversary: ChannelAdvers
         events.append({"round": round_index, "step": step, "direction": direction,
                        "action": action, "n_states": n_states, "custody_ok": custody_ok})
 
-    _x, first = server_encode((x, y), ROLE_FIRST, server.scheme)
+    sent = encode_half(y[:server.half_bits], server.scheme)
     events.append({"round": round_index, "step": "encode_first", "direction": "server",
-                   "action": "encode", "n_states": len(first.states),
+                   "action": "encode", "n_states": len(sent),
                    "custody_ok": True, "challenge_index": int(idx)})
 
-    sent = list(first.states)
     delivered = adversary.forward(x, sent, events)
     log("channel", "forward", adversary.name, len(delivered), _custody_check(sent, delivered))
 
@@ -222,19 +222,17 @@ def run_round(server: ServerState, client: ClientState, adversary: ChannelAdvers
     if reply is ABORT:
         log("lock", "client", "abort", 0)
         server.record(idx, accepted=False)
-        return RoundOutcome(STATUS_CLIENT_ABORT, idx, tuple(int(b) for b in x), events)
-    log("lock", "client", "release_second_half", len(reply.states))
+        return RoundOutcome(STATUS_CLIENT_ABORT, idx, events)
+    log("lock", "client", "release_second_half", len(reply))
 
-    returned = adversary.backward(x, list(reply.states), events)
-    log("channel", "backward", adversary.name, len(returned),
-        _custody_check(reply.states, returned))
+    returned = adversary.backward(x, reply, events)
+    log("channel", "backward", adversary.name, len(returned), _custody_check(reply, returned))
 
-    _x2, second = server_encode((x, y), ROLE_SECOND, server.scheme)
-    ok = server_verify(second, returned, server.scheme, rng)
+    ok = server_verify(y[server.half_bits:], returned, server.scheme, rng)
     log("verify", "server", "accept" if ok else "reject", len(returned))
     server.record(idx, accepted=ok)
     status = STATUS_ACCEPTED if ok else STATUS_SERVER_REJECT
-    return RoundOutcome(status, idx, tuple(int(b) for b in x), events)
+    return RoundOutcome(status, idx, events)
 
 
 @dataclass
@@ -295,7 +293,7 @@ def run_session(server: ServerState, client: ClientState, adversary: ChannelAdve
     for pol in server.policy:
         histogram[pol.accepted_rounds] = histogram.get(pol.accepted_rounds, 0) + 1
 
-    half_bits = server.db.responses.shape[1] // 2
+    half_bits = server.half_bits
     hits, total, details = 0, 0, []
     for idx, pol in enumerate(server.policy):
         if pol.accepted_rounds < 2:

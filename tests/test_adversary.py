@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -406,3 +408,38 @@ class TestGame:
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
             run_unforgeability_game("cpuf", "exact_copy", 0, 1, derive_rng(84))
+
+
+PIN_CONFIG = GameConfig(n=6, k=1, m=1, multi_copies=3, challenges_per_trial=8,
+                        lr=LrConfig(epochs=8, restarts=1, batch_size=32))
+
+# (target, strategy, verify_second_half_only, rng key, rate, per-trial rates)
+GAME_PINS = [
+    ("cpuf", "exact_copy", False, (90, 0), 1.0, (1.0, 1.0, 1.0)),
+    ("cpuf", "uniform_guess", False, (90, 1), 0.0, (0.0, 0.0, 0.0)),
+    ("cpuf", "measure_forge", False, (90, 2), 1 / 24, (0.0, 0.125, 0.0)),
+    ("hpuf", "exact_copy", False, (90, 3), 1.0, (1.0, 1.0, 1.0)),
+    ("hpuf", "uniform_guess", False, (90, 4), 7 / 24, (0.125, 0.375, 0.375)),
+    ("hpuf", "measure_forge", False, (90, 5), 5 / 24, (0.0, 0.25, 0.375)),
+    ("hpuf", "measure_forge_multicopy", False, (90, 6), 1 / 3, (0.125, 0.5, 0.375)),
+    ("hlpuf", "exact_copy", False, (90, 7), 1.0, (1.0, 1.0, 1.0)),
+    ("hlpuf", "uniform_guess", False, (90, 8), 10 / 24, (0.625, 0.375, 0.25)),
+    ("hlpuf", "measure_forge", False, (90, 9), 13 / 24, (0.625, 0.75, 0.25)),
+    ("hlpuf", "replay_lock", False, (90, 10), 2 / 3, (0.625, 0.75, 0.625)),
+    ("hlpuf", "direct_probe", False, (90, 11), 13 / 24, (0.5, 0.375, 0.75)),
+    ("hpuf", "measure_forge_multicopy", True, (91, 0), 17 / 24, (0.625, 0.875, 0.625)),
+    ("hpuf", "measure_forge", True, (91, 1), 11 / 24, (0.25, 0.5, 0.625)),
+]
+
+
+@pytest.mark.parametrize("target,strategy,second_only,key,rate,trial_rates", GAME_PINS)
+def test_game_win_rates_pinned(target, strategy, second_only, key, rate, trial_rates):
+    """Exact win rates of every valid (target, strategy) pair at a small config.
+
+    A change to the game's learn or forge phases that moves a draw or a
+    verdict moves these numbers; such a change must say so.
+    """
+    config = replace(PIN_CONFIG, verify_second_half_only=second_only)
+    got, got_trials = run_unforgeability_game(target, strategy, 40, 3, derive_rng(*key),
+                                              config, return_trial_rates=True)
+    assert (got, tuple(got_trials.tolist())) == (rate, trial_rates)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import analytics
-from hlpuf_lab.analytics import (BoundInputs, binary_entropy, binomial_tail,
+from hlpuf_lab.analytics import (binary_entropy, binomial_tail,
                                  forge_bound, mc_extract_rate, minentropy_bound,
                                  p_extract_bound, p_guess_bound, pextract_curve,
                                  reuse_bound)
@@ -128,15 +128,6 @@ class TestMinEntropyBound:
         assert binary_entropy(0.5) == 1.0
 
 
-class TestBoundInputs:
-    def test_validation(self):
-        BoundInputs(p=0.6, m=2, q=10, eps=0.1, k=3, zeta=0.1, delta_r=0.1)
-        with pytest.raises(ValueError):
-            BoundInputs(p=0.4)
-        with pytest.raises(ValueError):
-            BoundInputs(zeta=0.7)
-
-
 class TestPextractCurve:
     def test_rows_monotone_and_match_endpoints(self):
         rows = pextract_curve([0.0, 0.1, 0.2], [10, 100], m=2, p=0.5)
@@ -220,7 +211,7 @@ class TestEveGuessingRespectsMinEntropy:
         # guesses must stay under 2^-minentropy_bound(m, zeta, 0)
         from hlpuf_lab import qstate
         from hlpuf_lab.adversary import intercept_resend
-        from hlpuf_lab.hybrid import BB84, ROLE_FIRST, encode_half
+        from hlpuf_lab.hybrid import BB84, encode_half
 
         rng = derive_rng(96, m)
         eye = np.eye(2, dtype=complex)
@@ -230,10 +221,10 @@ class TestEveGuessingRespectsMinEntropy:
         eve_hits = 0
         for _ in range(rounds):
             bits = rng.integers(0, 2, size=2 * m)
-            half = encode_half(bits, ROLE_FIRST, BB84)
+            half = encode_half(bits, BB84)
             eve_bits = []
             wrong = 0
-            for j, state in enumerate(half.states):
+            for j, state in enumerate(half):
                 resent, outcome, guess = intercept_resend(state, rng)
                 eve_bits.extend([outcome, guess])
                 v, b = bits[2 * j], bits[2 * j + 1]

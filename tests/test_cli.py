@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from hlpuf_lab import cli
 
 
@@ -92,6 +94,24 @@ class TestConfigHandling:
             assert run(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
             assert "bogus" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--q-grid", "10,-5"], ["--q-grid", "0,10"], ["--q-grid="], ["--eps-list="],
+        ["--eps-list", "0.1,1.5"], ["--m-list", "2,0"], ["--k-list", "4,-1"],
+        ["--zeta-list", "0.7"], ["--delta-r", "0.6"], ["--p", "0.4"], ["--trials", "-3"],
+    ])
+    def test_bounds_inputs_checked_before_run(self, tmp_path, capsys, flags):
+        out = tmp_path / "b.csv"
+        assert run(["bounds", *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounds_accepts_inputs_at_their_limits(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--p", "0.6", "--m-list", "2", "--q-grid", "1,10",
+                    "--eps-list", "0,1", "--k-list", "0,3", "--zeta-list", "0,0.5",
+                    "--delta-r", "0.5", "--trials", "0", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_negative_reuse_cap_rejected(self, tmp_path, capsys):
         out = tmp_path / "p"

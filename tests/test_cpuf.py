@@ -127,22 +127,6 @@ class TestStatistics:
             cpuf.quality_metrics(cpuf.CpufModel.ideal(8, 1, 0.5, 1), 10, derive_rng(30))
 
 
-class TestNoiseKnob:
-    def test_noise_requires_rng(self):
-        model = cpuf.CpufModel.ideal(8, 4, 0.5, 3, noise_rate=0.1)
-        with pytest.raises(ValueError):
-            model.eval(np.zeros(8, dtype=np.uint8))
-
-    def test_noise_rate_observed(self):
-        model = cpuf.CpufModel.ideal(8, 1, 0.5, 3, noise_rate=0.2)
-        clean = cpuf.CpufModel.ideal(8, 1, 0.5, 3)
-        ch = cpuf.random_challenges(8, 20000, derive_rng(31))
-        noisy = model.eval_batch(ch, rng=derive_rng(32))
-        base = clean.eval_batch(ch)
-        rate = np.mean(noisy != base)
-        assert abs(rate - 0.2) <= 3 * np.sqrt(0.16 / ch.shape[0] / 1) + 0.01
-
-
 class TestSerialization:
     def test_round_trip_xor(self, tmp_path):
         model = cpuf.CpufModel.xor_arbiter(20, 2, 4, 555)
@@ -161,6 +145,19 @@ class TestSerialization:
         loaded = cpuf.load_model(path)
         ch = cpuf.random_challenges(12, 200, derive_rng(34))
         assert np.array_equal(model.eval_batch(ch), loaded.eval_batch(ch))
+
+    def test_loads_v1_noise_free_file_and_refuses_noise(self, tmp_path):
+        model = cpuf.CpufModel.ideal(12, 2, 0.6, 77)
+        path = tmp_path / "model.txt"
+        for noise_rate, loads in (("0.0", True), ("0.1", False)):
+            path.write_text(f"{cpuf.FORMAT_HEADER}\nkind=ideal n=12 k=1 out_bits=2 "
+                            f"seed=77 p=0.6 noise_rate={noise_rate}\n")
+            if loads:
+                ch = cpuf.random_challenges(12, 200, derive_rng(35))
+                assert np.array_equal(model.eval_batch(ch), cpuf.load_model(path).eval_batch(ch))
+            else:
+                with pytest.raises(ValueError):
+                    cpuf.load_model(path)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -3,7 +3,7 @@ import pytest
 
 from hlpuf_lab import hybrid, qstate
 from hlpuf_lab.cpuf import CpufModel
-from hlpuf_lab.hybrid import ABORT, BB84, MUB4, MUB8, ROLE_FIRST, ROLE_SECOND
+from hlpuf_lab.hybrid import ABORT, BB84, MUB4, MUB8
 from hlpuf_lab.seeding import derive_rng
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -30,28 +30,34 @@ def match_probability_oracle(probe: qstate.PureState, scheme) -> float:
     return total / count
 
 
+def encode_block(bits, scheme):
+    """The one state of a one-block half."""
+    [state] = hybrid.encode_half(bits, scheme)
+    return state
+
+
 class TestEncodeBlock:
     def test_bb84_rows(self):
-        assert hybrid.encode_block((0, 1), BB84).isclose(qstate.bb84_state(0, 1))
-        assert hybrid.encode_block((1, 0), BB84).isclose(qstate.bb84_state(1, 0))
-        assert hybrid.encode_block((1, 1), BB84).isclose(qstate.bb84_state(1, 1))
+        assert encode_block((0, 1), BB84).isclose(qstate.bb84_state(0, 1))
+        assert encode_block((1, 0), BB84).isclose(qstate.bb84_state(1, 0))
+        assert encode_block((1, 1), BB84).isclose(qstate.bb84_state(1, 1))
 
     def test_mub8_identity_basis(self):
-        state = hybrid.encode_block((0, 0, 0, 0, 0, 0), MUB8)
+        state = encode_block((0, 0, 0, 0, 0, 0), MUB8)
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.allclose(state.amplitudes, expected)
 
     def test_mub8_value_indexing(self):
         # value bits are most-significant-first within the block
-        state = hybrid.encode_block((1, 0, 1, 0, 0, 0), MUB8)
+        state = encode_block((1, 0, 1, 0, 0, 0), MUB8)
         expected = np.zeros(8)
         expected[5] = 1.0
         assert np.allclose(state.amplitudes, expected)
 
     def test_wrong_width(self):
         with pytest.raises(ValueError):
-            hybrid.encode_block((0, 1, 0), BB84)
+            hybrid.encode_half((0, 1, 0), BB84)
 
     def test_bijectivity_all_schemes(self):
         for scheme in (BB84, MUB4, MUB8):
@@ -59,7 +65,7 @@ class TestEncodeBlock:
                 for theta in range(scheme.bases_used):
                     bits = hybrid.int_to_bits(value, scheme.value_bits) + \
                         hybrid.int_to_bits(theta, scheme.basis_bits)
-                    state = hybrid.encode_block(bits, scheme)
+                    state = encode_block(bits, scheme)
                     assert hybrid.decode_block(state, theta, scheme) == bits
 
     def test_half_decoder_matches_per_block_packing(self):
@@ -81,12 +87,12 @@ class TestHpufEval:
     def test_half_sizes_bb84(self):
         device = make_device(BB84, m_qubits=2).hpuf  # out_bits = 8
         first, second = device.hpuf_eval(np.zeros(16, dtype=np.uint8))
-        assert len(first.states) == 2 and len(second.states) == 2
+        assert len(first) == 2 and len(second) == 2
 
     def test_ideal_p1_gives_all_zero_states(self):
         device = hybrid.HpufDevice(CpufModel.ideal(8, 8, 1.0, 3), BB84)
         first, second = device.hpuf_eval(np.zeros(8, dtype=np.uint8))
-        for s in first.states + second.states:
+        for s in first + second:
             assert s.isclose(qstate.bb84_state(0, 0))
 
     def test_repeat_calls_identical_but_fresh(self):
@@ -94,9 +100,7 @@ class TestHpufEval:
         x = derive_rng(40).integers(0, 2, size=16, dtype=np.uint8)
         f1, s1 = device.hpuf_eval(x)
         f2, s2 = device.hpuf_eval(x)
-        assert f1.classical_bits == f2.classical_bits
-        assert s1.classical_bits == s2.classical_bits
-        for a, b in zip(f1.states, f2.states):
+        for a, b in zip(f1 + s1, f2 + s2):
             assert a.isclose(b)
             assert a is not b
 
@@ -106,8 +110,10 @@ class TestHpufEval:
         y = device.cpuf.eval(x)
         first, second = device.hpuf_eval(x)
         half = len(y) // 2
-        assert first.classical_bits == tuple(int(b) for b in y[:half])
-        assert second.classical_bits == tuple(int(b) for b in y[half:])
+        for states, bits in ((first, y[:half]), (second, y[half:])):
+            expected = hybrid.encode_half(bits, BB84)
+            assert len(states) == len(expected)
+            assert all(a.isclose(b) for a, b in zip(states, expected))
 
     def test_rejects_indivisible_width(self):
         with pytest.raises(ValueError):
@@ -121,18 +127,30 @@ class TestLockQuery:
         for _ in range(50):
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
             first, second = device.hpuf.hpuf_eval(x)
-            out = device.lock_query(x, list(first.states), rng)
+            out = device.lock_query(x, first, rng)
             assert out is not ABORT
-            assert out.classical_bits is None  # wire object leaks no bits
-            assert len(out.states) == len(second.states)
+            assert len(out) == len(second)
         assert device.query_log == 50
+
+    def test_reply_is_a_list_of_distinct_fresh_states(self):
+        # the wire form: a plain list of new PureState objects, truthy, no bits
+        rng = derive_rng(53)
+        device = make_device(m_qubits=4)
+        x = rng.integers(0, 2, size=16, dtype=np.uint8)
+        first, second = device.hpuf.hpuf_eval(x)
+        out1 = device.lock_query(x, first, rng)
+        out2 = device.lock_query(x, device.hpuf.hpuf_eval(x)[0], rng)
+        assert type(out1) is list and out1
+        assert all(type(s) is qstate.PureState for s in out1)
+        assert len({id(s) for s in out1 + out2 + first + second}) == 4 * len(out1)
+        assert all(a.isclose(b) for a, b in zip(out1, second))
 
     def test_wrong_arity_aborts(self):
         rng = derive_rng(43)
         device = make_device(m_qubits=2)
         x = np.zeros(16, dtype=np.uint8)
         first, _ = device.hpuf.hpuf_eval(x)
-        out = device.lock_query(x, list(first.states[:1]), rng)
+        out = device.lock_query(x, first[:1], rng)
         assert out is ABORT
         assert not out  # falsy sentinel
         assert device.query_log == 0
@@ -169,64 +187,55 @@ class TestLockQuery:
         passes = 0
         for t in range(trials):
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            bits = device.hpuf.half_bits(x, ROLE_FIRST)
+            bits = device.hpuf.cpuf.eval(x)[:2]
             flipped = (bits[0], bits[1] ^ 1)
-            probe = [hybrid.encode_block(flipped, BB84)]
+            probe = hybrid.encode_half(flipped, BB84)
             passes += device.lock_query(x, probe, rng) is not ABORT
         assert abs(passes / trials - 0.5) <= 3 * np.sqrt(0.25 / trials)
 
 
 class TestServerSide:
     def test_server_encode_zero_response(self):
-        x = np.zeros(8, dtype=np.uint8)
         y = np.zeros(4, dtype=np.uint8)  # m=1 per half
-        _, first = hybrid.server_encode((x, y), ROLE_FIRST, BB84)
-        _, second = hybrid.server_encode((x, y), ROLE_SECOND, BB84)
-        assert first.states[0].isclose(qstate.bb84_state(0, 0))
-        assert second.states[0].isclose(qstate.bb84_state(0, 0))
-        assert first.classical_bits == (0, 0)
+        first = hybrid.encode_half(y[:2], BB84)
+        second = hybrid.encode_half(y[2:], BB84)
+        assert len(first) == len(second) == 1
+        assert first[0].isclose(qstate.bb84_state(0, 0))
+        assert second[0].isclose(qstate.bb84_state(0, 0))
 
     def test_server_encode_mub8_vector_case(self):
         # block-by-block oracle: each half is one 6-bit block
         rng = derive_rng(47)
         y = rng.integers(0, 2, size=12, dtype=np.uint8)
-        _, first = hybrid.server_encode((None, y), ROLE_FIRST, MUB8)
+        [first] = hybrid.encode_half(y[:6], MUB8)
         value = hybrid.bits_to_int(y[:3])
         theta = hybrid.bits_to_int(y[3:6])
         expected = qstate.mub8_family().basis_state(theta, value)
-        assert first.states[0].isclose(expected)
+        assert first.isclose(expected)
 
     def test_server_verify_round_trip(self):
         rng = derive_rng(48)
         for scheme, m_qubits in ((BB84, 2), (MUB4, 2), (MUB8, 3)):
             device = make_device(scheme, m_qubits=m_qubits)
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            first, second = device.hpuf.hpuf_eval(x)
-            out = device.lock_query(x, list(first.states), rng)
+            first, _second = device.hpuf.hpuf_eval(x)
+            out = device.lock_query(x, first, rng)
             assert out is not ABORT
-            assert hybrid.server_verify(second, out.states, scheme, rng)
+            y = device.hpuf.cpuf.eval(x)
+            assert hybrid.server_verify(y[len(y) // 2:], out, scheme, rng)
 
     def test_server_verify_rejects_orthogonal(self):
         rng = derive_rng(49)
-        y = np.zeros(4, dtype=np.uint8)
-        _, second = hybrid.server_encode((None, y), ROLE_SECOND, BB84)
         wrong = [qstate.bb84_state(1, 0)]
-        assert not hybrid.server_verify(second, wrong, BB84, rng)
+        assert not hybrid.server_verify((0, 0), wrong, BB84, rng)
 
     def test_server_verify_conjugate_is_coin_flip(self):
         rng = derive_rng(50)
-        y = np.zeros(4, dtype=np.uint8)
-        _, second = hybrid.server_encode((None, y), ROLE_SECOND, BB84)
         trials = 4000
         accepts = sum(
-            hybrid.server_verify(second, [qstate.bb84_state(0, 1)], BB84, rng)
+            hybrid.server_verify((0, 0), [qstate.bb84_state(0, 1)], BB84, rng)
             for _ in range(trials))
         assert abs(accepts / trials - 0.5) <= 3 * np.sqrt(0.25 / trials)
-
-    def test_server_verify_requires_bits(self):
-        half = hybrid.HalfResponse(ROLE_SECOND, [qstate.bb84_state(0, 0)], None)
-        with pytest.raises(ValueError):
-            hybrid.server_verify(half, [qstate.bb84_state(0, 0)], BB84, derive_rng(51))
 
 
 class TestHonestRoundTrip:
@@ -236,10 +245,8 @@ class TestHonestRoundTrip:
             device = make_device(scheme, m_qubits=m_qubits)
             for _ in range(30):
                 x = rng.integers(0, 2, size=16, dtype=np.uint8)
-                _, first = hybrid.server_encode(
-                    (x, device.hpuf.cpuf.eval(x)), ROLE_FIRST, scheme)
-                out = device.lock_query(x, list(first.states), rng)
+                y = device.hpuf.cpuf.eval(x)
+                half = len(y) // 2
+                out = device.lock_query(x, hybrid.encode_half(y[:half], scheme), rng)
                 assert out is not ABORT
-                _, second = hybrid.server_encode(
-                    (x, device.hpuf.cpuf.eval(x)), ROLE_SECOND, scheme)
-                assert hybrid.server_verify(second, out.states, scheme, rng)
+                assert hybrid.server_verify(y[half:], out, scheme, rng)

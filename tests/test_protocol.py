@@ -6,7 +6,7 @@ import pytest
 from hlpuf_lab import protocol, qstate
 from hlpuf_lab.adversary import CrpDatabase
 from hlpuf_lab.cpuf import CpufModel, random_challenges
-from hlpuf_lab.hybrid import BB84, HlpufDevice, HpufDevice
+from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice, HpufDevice
 from hlpuf_lab.protocol import (DatabaseExhausted, IdentityAdversary,
                                 InterceptResendAdversary, PassiveObserver,
                                 ServerState, ClientState, StoredReplayAdversary,
@@ -111,6 +111,13 @@ class TestChallengeSelection:
             if stale not in server.candidates and steps.random() < 0.5:
                 server.record(stale, accepted=False)
 
+    @pytest.mark.parametrize("width,scheme", [(6, BB84), (3, BB84), (12, MUB4), (18, MUB8)])
+    def test_response_width_must_split_into_whole_block_halves(self, width, scheme):
+        ch = np.zeros((4, 8), dtype=np.uint8)
+        db = CrpDatabase(ch, np.zeros((4, width), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            ServerState(db, scheme, derive_rng(307))
+
     def test_retired_challenge_cannot_be_accepted(self):
         server, _client = make_setup(db_size=4)
         server.record(2, accepted=False)
@@ -169,7 +176,7 @@ class TestAdversaries:
                 self.device = device
 
             def forward(self, x, states, transcript):
-                true_basis = self.device.hpuf.half_bits(x, "first")[1]
+                true_basis = self.device.hpuf.cpuf.eval(x)[1]
                 wrong = 1 - true_basis
                 basis = (np.eye(2, dtype=complex) if wrong == 0 else
                          np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
