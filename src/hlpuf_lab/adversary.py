@@ -13,22 +13,21 @@ basis-bit error exactly 2^(1-K) on conjugate-basis states.
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import qstate
 from .cpuf import CpufModel, random_challenges, transform_batch
-from .hybrid import (ABORT, EncodingScheme, HpufDevice, HlpufDevice, encode_half, int_to_bits,
-                     server_verify)
+from .hybrid import (ABORT, SCHEMES, EncodingScheme, HpufDevice, HlpufDevice, encode_half,
+                     int_to_bits, server_verify)
 
 @dataclass
 class CrpDatabase:
-    """Challenge/response table; ``noisy`` marks adversarially extracted data."""
+    """Challenge/response table: a device's CRPs or an adversary's guessed labels."""
 
     challenges: np.ndarray  # (N, n) bits
     responses: np.ndarray   # (N, out_bits) bits
-    noisy: bool = False
-    source: str = "clean"
 
     def __post_init__(self):
         self.challenges = np.asarray(self.challenges, dtype=np.uint8)
@@ -37,22 +36,6 @@ class CrpDatabase:
             raise ValueError("challenges and responses must be 2-D arrays")
         if len(self.challenges) != len(self.responses):
             raise ValueError("challenge/response counts differ")
-
-    def __len__(self):
-        return len(self.challenges)
-
-
-@dataclass
-class QuantumCrpDatabase:
-    """Single-copy challenge/state pairs as seen by a weak adversary."""
-
-    challenges: np.ndarray      # (N, n) bits
-    states: list                # per entry: list of block PureStates
-
-    def __post_init__(self):
-        self.challenges = np.asarray(self.challenges, dtype=np.uint8)
-        if len(self.challenges) != len(self.states):
-            raise ValueError("challenge/state counts differ")
 
     def __len__(self):
         return len(self.challenges)
@@ -200,7 +183,6 @@ def _helstrom_p_one(meas: qstate.TwoOutcomeMeasurement, amps: np.ndarray) -> np.
 
 @lru_cache(maxsize=None)
 def _cached_attack(kind: str, p: float, prior_bases) -> SplitAttack:
-    from .hybrid import SCHEMES
     return SplitAttack(SCHEMES[kind], p=p, prior_bases=prior_bases)
 
 
@@ -209,21 +191,32 @@ def _int_bits(values: np.ndarray, width: int) -> np.ndarray:
     return (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
-def split_attack_extract(qdb: QuantumCrpDatabase, scheme: EncodingScheme,
+def wire_amplitudes(bits, scheme: EncodingScheme) -> np.ndarray:
+    """(N, blocks, dim) amplitudes of the block states ``encode_half`` sends for N bit rows."""
+    bits = np.asarray(bits, dtype=np.int64)
+    step = scheme.bits_per_block
+    if bits.ndim != 2 or bits.shape[1] % step != 0:
+        raise ValueError("bit rows are not a whole number of blocks")
+    blocks = bits.reshape(len(bits), bits.shape[1] // step, step)
+    codes = blocks @ (1 << np.arange(step - 1, -1, -1))
+    # value bits come first, so the basis bits are the code's low basis_bits bits
+    value, theta = np.divmod(codes, scheme.bases_used)
+    return scheme.family().columns[theta, value]
+
+
+def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,
                          rng: np.random.Generator, p: float = 0.5,
-                         prior_bases: int | None = None) -> CrpDatabase:
-    """Measure every single-copy block into guessed classical bits (noisy database)."""
+                         prior_bases: int | None = None) -> np.ndarray:
+    """Guessed bits (N, blocks * bits_per_block) of single-copy amplitudes (N, blocks, dim)."""
     attack = _cached_attack(scheme.kind, p, prior_bases)
-    amps = np.array([[s.amplitudes for s in blocks] for blocks in qdb.states])
+    amps = np.asarray(amps)
     if amps.ndim != 3 or amps.shape[2] != scheme.block_dim:
         raise ValueError("state dimension does not match the scheme")
     rows, blocks = amps.shape[:2]
     value, theta = attack.guess_amplitudes(amps.reshape(rows * blocks, -1), rng)
     bits = np.concatenate([_int_bits(value, scheme.value_bits),
                            _int_bits(theta, scheme.basis_bits)], axis=1)
-    return CrpDatabase(challenges=qdb.challenges,
-                       responses=bits.reshape(rows, -1).astype(np.uint8),
-                       noisy=True, source="extracted")
+    return bits.reshape(rows, -1).astype(np.uint8)
 
 
 def multi_copy_extract_batch(amps: np.ndarray, rng: np.random.Generator):
@@ -402,18 +395,6 @@ def extraction_stats(true_responses: np.ndarray, extracted: np.ndarray) -> dict:
 # Universal-unforgeability game
 # ---------------------------------------------------------------------------
 
-TARGET_CPUF = "cpuf"
-TARGET_HPUF = "hpuf"
-TARGET_HLPUF = "hlpuf"
-
-STRATEGY_EXACT_COPY = "exact_copy"
-STRATEGY_UNIFORM_GUESS = "uniform_guess"
-STRATEGY_MEASURE_FORGE = "measure_forge"
-STRATEGY_MULTI_COPY = "measure_forge_multicopy"
-STRATEGY_REPLAY_LOCK = "replay_lock"
-STRATEGY_DIRECT_PROBE = "direct_probe"
-
-
 @dataclass(frozen=True)
 class GameConfig:
     """Device shape and adversary resources for the unforgeability game.
@@ -433,7 +414,6 @@ class GameConfig:
     lr: LrConfig = field(default_factory=LrConfig)
 
     def scheme(self) -> EncodingScheme:
-        from .hybrid import SCHEMES
         return SCHEMES[self.scheme_kind]
 
     def out_bits(self) -> int:
@@ -443,23 +423,72 @@ class GameConfig:
         return 2 * (self.m // scheme.qubits_per_block) * scheme.bits_per_block
 
 
-def build_weak_quantum_db(device: HpufDevice, q: int, rng: np.random.Generator):
-    """(QuantumCrpDatabase over both halves, ground-truth CrpDatabase)."""
-    challenges = random_challenges(device.cpuf.n, q, rng)
-    truths = [device.cpuf.eval(x) for x in challenges]
-    qdb = QuantumCrpDatabase(challenges=challenges,
-                             states=[encode_half(y, device.scheme) for y in truths])
-    truth = CrpDatabase(challenges=challenges, responses=np.array(truths))
-    return qdb, truth
+# Learning phases: learn(device, q, config, rng) -> labels CrpDatabase, or None
+# when the forger has nothing to train on. ``device`` is the trial's HpufDevice.
+
+def _learn_clean(device, q, config, rng):
+    """q classical CRPs, as the CPUF hands them out."""
+    challenges = random_challenges(config.n, q, rng)
+    return CrpDatabase(challenges, device.cpuf.eval_batch(challenges))
 
 
-def _train_bit_models(db: CrpDatabase, k: int, lr: LrConfig, targets) -> list:
-    return [lr_train(db, t, k, replace(lr, seed=lr.seed + 1009 * t)) for t in targets]
+def _learn_split(device, q, config, rng):
+    """Split-attack guesses of both halves' states, as a single-copy eavesdropper sees them."""
+    challenges = random_challenges(config.n, q, rng)
+    amps = wire_amplitudes(device.cpuf.eval_batch(challenges), device.scheme)
+    return CrpDatabase(challenges, split_attack_extract(amps, device.scheme, rng))
 
 
-def _forge_bits(models, challenge) -> np.ndarray:
-    row = np.asarray(challenge, dtype=np.uint8)[None, :]
-    return np.array([mdl.predict(row)[0] for mdl in models], dtype=np.uint8)
+def _learn_multi_copy(device, q, config, rng):
+    """Multi-copy extraction: every evaluation of a challenge emits the same qubits."""
+    challenges = random_challenges(config.n, q, rng)
+    amps = wire_amplitudes(device.cpuf.eval_batch(challenges), device.scheme)
+    labels = amps.reshape(-1, 1, amps.shape[2])
+    copies = np.broadcast_to(labels, (len(labels), config.multi_copies, amps.shape[2]))
+    value, basis = multi_copy_extract_batch(copies, rng)
+    return CrpDatabase(challenges, np.stack([value, basis], axis=1).reshape(q, -1))
+
+
+def _learn_replay(device, q, config, rng):
+    """Send honest first halves through the lock; split-attack the second halves it releases."""
+    locked = HlpufDevice(device)
+    challenges = random_challenges(config.n, q, rng)
+    replies = []
+    for x in challenges:
+        first = device.cpuf.eval(x)[:device.half_bit_count]  # the server's transmission
+        out = locked.lock_query(x, encode_half(first, device.scheme), rng)
+        if out is ABORT:  # honest replay always passes
+            raise AssertionError("honest replay rejected by the lock")
+        replies.append([s.amplitudes for s in out])
+    return CrpDatabase(challenges, split_attack_extract(np.array(replies), device.scheme, rng))
+
+
+def _learn_probe(device, q, config, rng):
+    """Probe the lock with |0> halves; whatever it releases, the forger learns nothing."""
+    locked = HlpufDevice(device)
+    probe = [qstate.bb84_state(0, 0) for _ in range(config.m)]
+    for x in random_challenges(config.n, q, rng):
+        locked.lock_query(x, list(probe), rng)
+
+
+class Strategy(NamedTuple):
+    learners: dict  # each target the strategy attacks -> its learn, or None without one
+    exact: bool = False  # a forger without labels copies the device, else guesses uniformly
+    schemes: tuple = tuple(SCHEMES)
+
+
+TARGETS = ("cpuf", "hpuf", "hlpuf")
+
+STRATEGIES = {
+    "exact_copy": Strategy(dict.fromkeys(TARGETS), exact=True),
+    "uniform_guess": Strategy(dict.fromkeys(TARGETS)),
+    "measure_forge": Strategy({"cpuf": _learn_clean, "hpuf": _learn_split,
+                               "hlpuf": _learn_split}),
+    # multi-copy extraction reads conjugate-coding qubits only
+    "measure_forge_multicopy": Strategy({"hpuf": _learn_multi_copy}, schemes=("bb84",)),
+    "replay_lock": Strategy({"hlpuf": _learn_replay}),
+    "direct_probe": Strategy({"hlpuf": _learn_probe}),
+}
 
 
 def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
@@ -469,118 +498,59 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
     """Empirical win rate of a learning strategy in the unforgeability game.
 
     Each trial builds a fresh device from a trial-derived seed, runs the
-    learning phase, then evaluates the forgery on
-    ``config.challenges_per_trial`` uniformly random challenges. With
-    ``return_trial_rates`` the per-trial win rates come back too, so callers
-    can estimate the trial-to-trial spread.
+    strategy's learning phase, trains one bit model per verified bit and
+    forges on ``config.challenges_per_trial`` uniformly random challenges.
+    With ``return_trial_rates`` the per-trial win rates come back too, so
+    callers can estimate the trial-to-trial spread.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
     config = config or GameConfig()
+    spec = STRATEGIES.get(strategy)
+    if spec is None:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if target not in spec.learners:
+        raise ValueError(f"strategy {strategy!r} does not attack target {target!r}")
+    if config.scheme_kind not in spec.schemes:
+        raise ValueError(f"strategy {strategy!r} needs scheme {' or '.join(spec.schemes)}")
+    if min(q, trials, config.challenges_per_trial) < 1:
+        raise ValueError("q, trials and challenges_per_trial must be positive")
     scheme = config.scheme()
     out_bits = config.out_bits()
-    half = out_bits // 2
-    wins = 0
-    total = 0
-    trial_rates = []
+    # the verified surface: the CPUF's whole response, compared bit for bit, or the
+    # server's measurement of forged states: of the second half for hlpuf (whose
+    # server verifies only that half) and hpuf under verify_second_half_only
+    second_half = target == "hlpuf" or (target == "hpuf" and config.verify_second_half_only)
+    surface = out_bits // 2 if second_half else out_bits
+    trial_wins = []
     for _trial in range(trials):
         child = np.random.default_rng(rng.integers(0, 2**63))
         model_seed = int(child.integers(0, 2**31 - 1))
         cpuf = CpufModel.xor_arbiter(config.n, config.k, out_bits, model_seed)
         device = HpufDevice(cpuf, scheme)
         lr = replace(config.lr, seed=int(child.integers(0, 2**31 - 1)))
+        learn = spec.learners[target]
+        db = learn(device, q, config, child) if learn else None
+        models = None
+        if db is not None:  # one bit model per verified column, the last ``surface``
+            models = [lr_train(db, t, config.k, replace(lr, seed=lr.seed + 1009 * t))
+                      for t in range(db.responses.shape[1])[-surface:]]
 
-        bit_models = None
-        forge_uniform = False
-        second_half_only = False
-
-        if strategy == STRATEGY_EXACT_COPY:
-            pass
-        elif strategy == STRATEGY_UNIFORM_GUESS:
-            forge_uniform = True
-        elif strategy == STRATEGY_MEASURE_FORGE:
-            if target == TARGET_CPUF:
-                challenges = random_challenges(config.n, q, child)
-                db = CrpDatabase(challenges, cpuf.eval_batch(challenges))
-                bit_models = _train_bit_models(db, config.k, lr, range(out_bits))
-            else:
-                qdb, _truth = build_weak_quantum_db(device, q, child)
-                db = split_attack_extract(qdb, scheme, child)
-                second_half_only = target == TARGET_HLPUF or config.verify_second_half_only
-                targets = range(half, out_bits) if second_half_only else range(out_bits)
-                bit_models = _train_bit_models(db, config.k, lr, targets)
-        elif strategy == STRATEGY_MULTI_COPY:
-            if target != TARGET_HPUF or scheme.kind != "bb84":
-                raise ValueError("multi-copy extraction targets the unlocked conjugate-coding device")
-            challenges = random_challenges(config.n, q, child)
-            # each of the multi_copies evaluations of a challenge emits the
-            # same qubits, one per (value, basis) response-bit pair
-            y = cpuf.eval_batch(challenges)
-            amps = scheme.family().columns[y[:, 1::2], y[:, 0::2]]
-            copies = np.broadcast_to(amps.reshape(-1, 1, 2),
-                                     (amps.shape[0] * amps.shape[1], config.multi_copies, 2))
-            value, basis = multi_copy_extract_batch(copies, child)
-            db = CrpDatabase(challenges, np.stack([value, basis], axis=1).reshape(q, -1),
-                             noisy=True, source="extracted")
-            second_half_only = config.verify_second_half_only
-            targets = range(half, out_bits) if second_half_only else range(out_bits)
-            bit_models = _train_bit_models(db, config.k, lr, targets)
-        elif strategy == STRATEGY_REPLAY_LOCK:
-            if target != TARGET_HLPUF:
-                raise ValueError("replay strategy targets the locked device")
-            locked = HlpufDevice(device)
-            challenges = random_challenges(config.n, q, child)
-            states = []
-            for x in challenges:
-                first = encode_half(cpuf.eval(x)[:half], scheme)  # server-side transmission
-                out = locked.lock_query(x, first, child)
-                if out is ABORT:  # honest replay always passes
-                    raise AssertionError("honest replay rejected by the lock")
-                states.append(out)
-            qdb = QuantumCrpDatabase(challenges=challenges, states=states)
-            db = split_attack_extract(qdb, scheme, child)
-            bit_models = _train_bit_models(db, config.k, lr, range(half))
-            second_half_only = True
-        elif strategy == STRATEGY_DIRECT_PROBE:
-            if target != TARGET_HLPUF:
-                raise ValueError("direct probe targets the locked device")
-            locked = HlpufDevice(device)
-            probe = [qstate.bb84_state(0, 0) for _ in range(config.m)]
-            challenges = random_challenges(config.n, q, child)
-            for x in challenges:
-                locked.lock_query(x, list(probe), child)
-            forge_uniform = True
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-
-        trial_wins = 0
+        wins = 0
         for _c in range(config.challenges_per_trial):
             x_star = child.integers(0, 2, size=config.n, dtype=np.uint8)
-            true_bits = cpuf.eval(x_star)
-            if target == TARGET_CPUF:
-                if strategy == STRATEGY_EXACT_COPY:
-                    guess = true_bits
-                elif forge_uniform:
-                    guess = child.integers(0, 2, size=out_bits, dtype=np.uint8)
-                else:
-                    guess = _forge_bits(bit_models, x_star)
-                win = bool(np.array_equal(guess, true_bits))
+            truth = cpuf.eval(x_star)[-surface:]
+            if models is not None:
+                forged = np.array([mdl.predict(x_star[None, :])[0] for mdl in models],
+                                  dtype=np.uint8)
+            elif spec.exact:
+                forged = truth
             else:
-                if forge_uniform:
-                    bits = child.integers(0, 2, size=out_bits, dtype=np.uint8)
-                elif strategy == STRATEGY_EXACT_COPY:
-                    bits = true_bits
-                else:
-                    bits = _forge_bits(bit_models, x_star)
-                # the locked device's server verifies only the second half
-                second_only = target == TARGET_HLPUF or second_half_only
-                expected = true_bits[half:] if second_only else true_bits
-                win = server_verify(expected, encode_half(bits[-len(expected):], scheme),
-                                    scheme, child)
-            wins += int(win)
-            trial_wins += int(win)
-            total += 1
-        trial_rates.append(trial_wins / config.challenges_per_trial)
+                forged = child.integers(0, 2, size=out_bits, dtype=np.uint8)[-surface:]
+            if target == "cpuf":
+                wins += bool(np.array_equal(forged, truth))
+            else:
+                wins += server_verify(truth, encode_half(forged, scheme), scheme, child)
+        trial_wins.append(wins)
+    rate = sum(trial_wins) / (trials * config.challenges_per_trial)
     if return_trial_rates:
-        return wins / total, np.array(trial_rates)
-    return wins / total
+        return rate, np.array(trial_wins) / config.challenges_per_trial
+    return rate

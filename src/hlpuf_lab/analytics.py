@@ -120,16 +120,6 @@ def minentropy_bound(m: int, zeta: float, delta_r: float) -> float:
     return m * (1.0 - binary_entropy(zeta) - math.log2(1.0 + 2.0 * delta_r))
 
 
-def pextract_curve(eps_values, q_values, m: int, p: float):
-    """Rows (eps, q, bound) of the extraction-probability curves."""
-    pg = p_guess_bound(p).value
-    rows = []
-    for eps in eps_values:
-        for q in q_values:
-            rows.append((float(eps), int(q), p_extract_bound(int(q), float(eps), m, pg)))
-    return rows
-
-
 @dataclass
 class McExtractResult:
     """Monte Carlo full-extraction estimate plus the measured rates it is judged by."""

@@ -71,7 +71,7 @@ class ExperimentConfig:
     restarts: int = 5
     stop_validation: float = 0.99
     patience: int = 25
-    out: str = "out"
+    out: str | None = None  # None: the command's default name
     timing_log: str | None = None
     threads: int = 1
 
@@ -191,8 +191,7 @@ def _curve_task(payload):
             w = np.random.default_rng(lr_seed).normal(size=(config.k, config.n + 1))
             model = LrModel(weights=w, config=lr_config, validation_accuracy=0.5)
         else:
-            db = CrpDatabase(challenges[:q], labels[:q, None],
-                             noisy=mode != "cpuf", source=mode)
+            db = CrpDatabase(challenges[:q], labels[:q, None])
             model = lr_train(db, 0, config.k, lr_config)
         accuracy = model.accuracy(test_ch, test_bits)
         runtime = time.perf_counter() - t0
@@ -534,7 +533,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             continue
         merged[key] = value
     merged.setdefault("command", args.command)
-    if args.command in ("attack-curve", "protocol") and "seed" not in merged:
+    seeded = "seed" in merged
+    if args.command in ("attack-curve", "protocol") and not seeded:
         raise ValueError("--seed is required for experiment commands")
     merged.setdefault("seed", 0)
     for key in ("q_grid", "eps_list", "m_list", "k_list", "zeta_list"):
@@ -551,6 +551,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ValueError(f"unknown scheme {config.scheme!r}")
     if config.command == "bounds":
         _check_bound_inputs(config)
+        if config.trials > 0 and not seeded:
+            raise ValueError("--seed is required for Monte Carlo rows (--trials > 0)")
     if config.command == "protocol":
         if config.reuse_cap is not None and config.reuse_cap < 0:
             raise ValueError("reuse cap must be at least 0")
@@ -559,7 +561,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"m must be a positive multiple of {per_block} for {config.scheme}")
         if config.adversary == "intercept" and config.scheme != "bb84":
             raise ValueError("the intercept adversary measures single qubits: use scheme bb84")
-    if config.out is None or config.out == "out":
+    if config.out is None:
         config.out = {"attack-curve": "attack_curve.csv", "bounds": "bounds.csv",
                       "protocol": "protocol_out", "selfcheck": "-"}[config.command]
     return config

@@ -1,4 +1,4 @@
-"""Classical PUF emulators and quality metrics.
+"""Classical PUF emulators.
 
 Additive-delay arbiter chains, k-XOR composition, and an ideal biased random
 function, widened to multi-bit outputs by instantiating independent single-bit
@@ -14,8 +14,6 @@ from .seeding import derive_rng
 
 KIND_XOR = "xor_arbiter"
 KIND_IDEAL = "ideal"
-
-FORMAT_HEADER = "hlpuf-cpuf v1"
 
 
 def feature_transform(challenge) -> np.ndarray:
@@ -174,76 +172,7 @@ class CpufModel:
         features = transform_batch(ch)
         return np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)
 
-    def sibling(self, rng: np.random.Generator) -> "CpufModel":
-        """Independently seeded model of the same shape (for uniqueness metrics)."""
-        seed = int(rng.integers(0, 2**31 - 1))
-        if self.kind == KIND_IDEAL:
-            return CpufModel.ideal(self.n, self.out_bits, self.p, seed)
-        return CpufModel.xor_arbiter(self.n, self.k, self.out_bits, seed)
 
 
 def random_challenges(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=(count, n), dtype=np.uint8)
-
-
-def quality_metrics(model: CpufModel, sample_count: int, rng: np.random.Generator) -> dict:
-    """Empirical bias, inter-distance and intra-distance over uniform challenges.
-
-    bias_estimate is the largest per-bit frequency of either value (the
-    p-randomness estimate); inter_distance is the mean fractional Hamming
-    distance to an independently seeded sibling on shared challenges;
-    intra_distance is 0, since evaluation is noiseless.
-    """
-    if sample_count < 100:
-        raise ValueError("sample_count must be at least 100")
-    challenges = random_challenges(model.n, sample_count, rng)
-    resp = model.eval_batch(challenges)
-    ones = resp.mean(axis=0)
-    bias = float(np.max(np.maximum(ones, 1.0 - ones)))
-    resp_other = model.sibling(rng).eval_batch(challenges)
-    inter = float(np.mean(resp != resp_other))
-    return {"bias_estimate": bias, "inter_distance": inter, "intra_distance": 0.0}
-
-
-def save_model(model: CpufModel, path) -> None:
-    """Versioned line-oriented text dump; weights in round-tripping decimal."""
-    lines = [FORMAT_HEADER]
-    lines.append(
-        f"kind={model.kind} n={model.n} k={model.k} out_bits={model.out_bits} "
-        f"seed={model.seed} p={model.p!r}"
-    )
-    if model.kind == KIND_XOR:
-        for bit_idx, puf in enumerate(model.bits):
-            for chain_idx, chain in enumerate(puf.chains):
-                weights = " ".join(repr(float(w)) for w in chain.weights)
-                lines.append(f"w {bit_idx} {chain_idx} {weights}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> CpufModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError("unrecognized model file header")
-    fields = dict(part.split("=", 1) for part in lines[1].split())
-    kind = fields["kind"]
-    n, k = int(fields["n"]), int(fields["k"])
-    out_bits, seed = int(fields["out_bits"]), int(fields["seed"])
-    p = float(fields["p"])
-    # v1 files may carry a noise_rate field; evaluation is noiseless, so only 0 loads
-    if float(fields.get("noise_rate", 0.0)) != 0.0:
-        raise ValueError("noisy CPUF models are not supported")
-    if kind == KIND_IDEAL:
-        return CpufModel.ideal(n, out_bits, p, seed)
-    weights = {}
-    for ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] != "w":
-            raise ValueError(f"unexpected line: {ln!r}")
-        bit_idx, chain_idx = int(parts[1]), int(parts[2])
-        weights[(bit_idx, chain_idx)] = np.array([float(x) for x in parts[3:]])
-    arrays = [[weights[(b, c)] for c in range(k)] for b in range(out_bits)]
-    model = CpufModel.from_chains(arrays, seed=seed)
-    return CpufModel(kind=KIND_XOR, n=n, out_bits=out_bits, seed=seed, k=k,
-                     p=p, bits=model.bits)

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import analytics, cli, protocol, qstate
-from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig,
-                                 QuantumCrpDatabase, multi_copy_extract,
+from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, multi_copy_extract,
                                  run_unforgeability_game, split_attack_extract)
 from hlpuf_lab.cpuf import CpufModel, random_challenges
 from hlpuf_lab.hybrid import BB84, MUB8, HlpufDevice, HpufDevice
@@ -31,11 +30,11 @@ def test_criterion_1_bb84_extraction_accuracy():
     values = rng.integers(0, 2, size=n_qubits)
     bases = rng.integers(0, 2, size=n_qubits)
     states = [[qstate.bb84_state(int(v), int(b))] for v, b in zip(values, bases)]
-    qdb = QuantumCrpDatabase(np.zeros((n_qubits, 1), dtype=np.uint8), states)
     t0 = time.perf_counter()
-    db = split_attack_extract(qdb, BB84, rng)
+    amps = np.array([[s.amplitudes for s in blocks] for blocks in states])
+    bits = split_attack_extract(amps, BB84, rng)
     elapsed = time.perf_counter() - t0
-    accuracy = float(np.mean(db.responses[:, 0] == values))
+    accuracy = float(np.mean(bits[:, 0] == values))
     assert abs(accuracy - 0.8536) <= 0.005
     assert elapsed < 10.0
     report(1, f"value-bit accuracy {accuracy:.4f} (target 0.8536±0.005), "
@@ -65,9 +64,8 @@ def test_criterion_2_mub8_bounds():
     values = rng.integers(0, 8, size=n)
     thetas = rng.integers(0, 9, size=n)
     states = [[fam.basis_state(int(t), int(v))] for v, t in zip(values, thetas)]
-    qdb = QuantumCrpDatabase(np.zeros((n, 1), dtype=np.uint8), states)
-    db = split_attack_extract(qdb, MUB8, rng, prior_bases=9)
-    guesses = db.responses[:, :3]
+    amps = np.array([[s.amplitudes for s in blocks] for blocks in states])
+    guesses = split_attack_extract(amps, MUB8, rng, prior_bases=9)[:, :3]
     truth = np.stack([(values >> 2) & 1, (values >> 1) & 1, values & 1], axis=1)
 
     acc0 = float(np.mean(guesses[:, 0] == truth[:, 0]))

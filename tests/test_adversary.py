@@ -4,43 +4,44 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import qstate
-from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, QuantumCrpDatabase,
-                                 SplitAttack, extraction_stats, intercept_resend,
-                                 lr_train, multi_copy_extract, multi_copy_extract_batch,
-                                 run_unforgeability_game, split_attack_extract)
+from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, SplitAttack,
+                                 extraction_stats, intercept_resend, lr_train,
+                                 multi_copy_extract, multi_copy_extract_batch,
+                                 run_unforgeability_game, split_attack_extract,
+                                 wire_amplitudes)
 from hlpuf_lab.cpuf import CpufModel, random_challenges
-from hlpuf_lab.hybrid import BB84, MUB4, MUB8
+from hlpuf_lab.hybrid import BB84, MUB4, MUB8, encode_half
 from hlpuf_lab.seeding import derive_rng
 
 HELSTROM_BB84 = 0.5 + 0.5 / np.sqrt(2.0)
 
 
-def bb84_qdb(n_qubits, rng):
+def bb84_amps(n_qubits, rng):
+    """(N, 1, 2) amplitude rows of random conjugate-coding qubits, their values and bases."""
     values = rng.integers(0, 2, size=n_qubits)
     bases = rng.integers(0, 2, size=n_qubits)
-    states = [[qstate.bb84_state(int(v), int(b))] for v, b in zip(values, bases)]
-    challenges = np.zeros((n_qubits, 1), dtype=np.uint8)
-    return QuantumCrpDatabase(challenges, states), values, bases
+    amps = np.array([[qstate.bb84_state(int(v), int(b)).amplitudes]
+                     for v, b in zip(values, bases)])
+    return amps, values, bases
 
 
 class TestSplitAttackBb84:
     def test_value_accuracy_matches_helstrom(self):
         rng = derive_rng(60)
-        qdb, values, _ = bb84_qdb(40000, rng)
-        db = split_attack_extract(qdb, BB84, rng)
-        acc = float(np.mean(db.responses[:, 0] == values))
+        amps, values, _ = bb84_amps(40000, rng)
+        bits = split_attack_extract(amps, BB84, rng)
+        acc = float(np.mean(bits[:, 0] == values))
         sigma = np.sqrt(HELSTROM_BB84 * (1 - HELSTROM_BB84) / len(values))
         assert abs(acc - HELSTROM_BB84) <= 3 * sigma
-        assert db.noisy and db.source == "extracted"
 
     def test_conditional_basis_accuracy(self):
         # given a correct value guess, the basis stage succeeds with
         # probability 1/2 + 1/2 sin(45 deg)
         rng = derive_rng(61)
-        qdb, values, bases = bb84_qdb(40000, rng)
-        db = split_attack_extract(qdb, BB84, rng)
-        value_ok = db.responses[:, 0] == values
-        basis_ok = db.responses[:, 1] == bases
+        amps, values, bases = bb84_amps(40000, rng)
+        bits = split_attack_extract(amps, BB84, rng)
+        value_ok = bits[:, 0] == values
+        basis_ok = bits[:, 1] == bases
         conditional = float(np.mean(basis_ok[value_ok]))
         sigma = np.sqrt(HELSTROM_BB84 * (1 - HELSTROM_BB84) / value_ok.sum())
         assert abs(conditional - HELSTROM_BB84) <= 3 * sigma
@@ -50,16 +51,16 @@ class TestSplitAttackBb84:
         # the computational-basis mixtures, so extraction is perfect
         rng = derive_rng(62)
         states = [[qstate.bb84_state(int(v), 0)] for v in rng.integers(0, 2, 200)]
-        qdb = QuantumCrpDatabase(np.zeros((200, 1), dtype=np.uint8), states)
-        db = split_attack_extract(qdb, BB84, rng, prior_bases=1)
+        amps = np.array([[s.amplitudes for s in blocks] for blocks in states])
+        bits = split_attack_extract(amps, BB84, rng, prior_bases=1)
         truth = np.array([qstate.bb84_state(0, 0).overlap2(s[0]) < 0.5 for s in states])
-        assert np.array_equal(db.responses[:, 0].astype(bool), truth)
+        assert np.array_equal(bits[:, 0].astype(bool), truth)
 
     def test_scheme_mismatch_rejected(self):
         rng = derive_rng(63)
-        qdb, _, _ = bb84_qdb(5, rng)
+        amps, _, _ = bb84_amps(5, rng)
         with pytest.raises(ValueError):
-            split_attack_extract(qdb, MUB8, rng)
+            split_attack_extract(amps, MUB8, rng)
 
     def test_vectorized_tables_agree_with_object_path(self):
         # every table entry is 1 - P(a) of the scalar reference measurement
@@ -92,12 +93,22 @@ class TestSplitAttackBb84:
         amps = rng.normal(size=scheme.block_dim) + 1j * rng.normal(size=scheme.block_dim)
         state = qstate.PureState(amps / np.linalg.norm(amps))
         n = 20000
-        qdb = QuantumCrpDatabase(np.zeros((n, 1), dtype=np.uint8), [[state]] * n)
-        db = split_attack_extract(qdb, scheme, rng)
-        assert db.responses.shape == (n, scheme.bits_per_block)
+        amps = np.array([[state.amplitudes]] * n)
+        bits = split_attack_extract(amps, scheme, rng)
+        assert bits.shape == (n, scheme.bits_per_block)
         p_one = 1 - SplitAttack(scheme).value_stages[0][0].probability_a(state)
-        freq = float(np.mean(db.responses[:, 0]))
+        freq = float(np.mean(bits[:, 0]))
         assert abs(freq - p_one) <= 3 * np.sqrt(p_one * (1 - p_one) / n)
+
+
+@pytest.mark.parametrize("scheme", [BB84, MUB4, MUB8])
+def test_wire_amplitudes_match_encode_half(scheme):
+    rng = derive_rng(92)
+    bits = rng.integers(0, 2, size=(50, 3 * scheme.bits_per_block), dtype=np.uint8)
+    want = np.array([[s.amplitudes for s in encode_half(row, scheme)] for row in bits])
+    got = wire_amplitudes(bits, scheme)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSplitAttackMub8:
@@ -108,9 +119,8 @@ class TestSplitAttackMub8:
         values = rng.integers(0, 8, size=n)
         thetas = rng.integers(0, 9, size=n)
         states = [[fam.basis_state(int(t), int(v))] for v, t in zip(values, thetas)]
-        qdb = QuantumCrpDatabase(np.zeros((n, 1), dtype=np.uint8), states)
-        db = split_attack_extract(qdb, MUB8, rng, prior_bases=9)
-        guesses = db.responses[:, :3]
+        amps = np.array([[s.amplitudes for s in blocks] for blocks in states])
+        guesses = split_attack_extract(amps, MUB8, rng, prior_bases=9)[:, :3]
         truth = np.stack([(values >> 2) & 1, (values >> 1) & 1, values & 1], axis=1)
 
         attack = SplitAttack(MUB8, prior_bases=9)
@@ -246,7 +256,7 @@ class TestLrTrain:
         for pair in range(12):
             ch = random_challenges(16, 2000, rng)
             labels = rng.integers(0, 2, size=(2000, 1), dtype=np.uint8)
-            model = lr_train(CrpDatabase(ch, labels, noisy=True), 0, 1, cfg)
+            model = lr_train(CrpDatabase(ch, labels), 0, 1, cfg)
             truth_model = CpufModel.xor_arbiter(16, 1, 1, 740 + pair)
             accs.append(model.accuracy(test_ch, truth_model.eval_batch(test_ch)[:, 0]))
         mean = float(np.mean(accs))
@@ -259,7 +269,7 @@ class TestLrTrain:
         bits = truth.eval_batch(ch)
         flips = (rng.random((4000, 1)) < 0.15).astype(np.uint8)
         clean_db = CrpDatabase(ch[:4000], bits[:4000])
-        noisy_db = CrpDatabase(ch[:4000], bits[:4000] ^ flips, noisy=True)
+        noisy_db = CrpDatabase(ch[:4000], bits[:4000] ^ flips)
         cfg = LrConfig(seed=3, epochs=60, restarts=2, patience=15)
         clean_acc = lr_train(clean_db, 0, 1, cfg).accuracy(ch[4000:], bits[4000:, 0])
         noisy_acc = lr_train(noisy_db, 0, 1, cfg).accuracy(ch[4000:], bits[4000:, 0])
@@ -286,8 +296,7 @@ class TestLrTrain:
             thetas = bits[:q, 1].astype(np.int64)
             guessed, _ = attack.guess_blocks_vectorized(values, thetas, rng)
             clean_db = CrpDatabase(ch[:q], bits[:q, :1])
-            noisy_db = CrpDatabase(ch[:q], guessed[:, None].astype(np.uint8),
-                                   noisy=True, source="extracted")
+            noisy_db = CrpDatabase(ch[:q], guessed[:, None].astype(np.uint8))
             lr = LrConfig(seed=seed, epochs=cfg.epochs, restarts=cfg.restarts,
                           patience=cfg.patience, batch_size=cfg.batch_size)
             clean_accs.append(lr_train(clean_db, 0, 1, lr)
@@ -408,6 +417,26 @@ class TestGame:
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
             run_unforgeability_game("cpuf", "exact_copy", 0, 1, derive_rng(84))
+
+
+@pytest.mark.parametrize("target,strategy,trials,changes", [
+    ("cpuf", "exact_copy", 0, {}),
+    ("cpuf", "exact_copy", 2, {"challenges_per_trial": 0}),
+    ("cpuf", "no_such_strategy", 2, {}),
+    ("cpuf", "replay_lock", 0, {}),
+    ("hpuf", "direct_probe", 2, {}),
+    ("no_such_target", "uniform_guess", 2, {}),
+    ("hpuf", "measure_forge_multicopy", 2, {"scheme_kind": "mub4", "m": 2}),
+])
+def test_game_inputs_checked_before_any_device(monkeypatch, target, strategy, trials,
+                                               changes):
+    def no_device(*args, **kwargs):
+        raise AssertionError("a device was built before the inputs were checked")
+
+    monkeypatch.setattr(CpufModel, "xor_arbiter", no_device)
+    config = replace(GameConfig(n=6), **changes)
+    with pytest.raises(ValueError):
+        run_unforgeability_game(target, strategy, 5, trials, derive_rng(85), config)
 
 
 PIN_CONFIG = GameConfig(n=6, k=1, m=1, multi_copies=3, challenges_per_trial=8,

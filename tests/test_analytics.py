@@ -6,7 +6,7 @@ import pytest
 from hlpuf_lab import analytics
 from hlpuf_lab.analytics import (binary_entropy, binomial_tail,
                                  forge_bound, mc_extract_rate, minentropy_bound,
-                                 p_extract_bound, p_guess_bound, pextract_curve,
+                                 p_extract_bound, p_guess_bound,
                                  reuse_bound)
 from hlpuf_lab.hybrid import BB84
 from hlpuf_lab.seeding import derive_rng
@@ -41,6 +41,12 @@ class TestPExtractBound:
 
     def test_hand_pinned_binomial_sum_exact(self):
         assert p_extract_bound(10, 0.2, 1, 0.0, block_success=0.5) == 56 / 1024
+
+    def test_interior_point_hand_binomial(self):
+        pg = p_guess_bound(0.5).value
+        s = pg ** 2
+        expected = sum(math.comb(10, k) * s**k * (1 - s) ** (10 - k) for k in range(8, 11))
+        assert p_extract_bound(10, 0.2, 1, pg) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_eps_and_p_guess(self):
         prev = -1.0
@@ -126,26 +132,6 @@ class TestMinEntropyBound:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == 1.0
-
-
-class TestPextractCurve:
-    def test_rows_monotone_and_match_endpoints(self):
-        rows = pextract_curve([0.0, 0.1, 0.2], [10, 100], m=2, p=0.5)
-        pg = p_guess_bound(0.5).value
-        by_q = {}
-        for eps, q, val in rows:
-            assert val == p_extract_bound(q, eps, 2, pg)
-            by_q.setdefault(q, []).append((eps, val))
-        for q, pairs in by_q.items():
-            vals = [v for _, v in sorted(pairs)]
-            assert vals == sorted(vals)
-
-    def test_interior_point_hand_binomial(self):
-        rows = dict(((eps, q), v) for eps, q, v in
-                    pextract_curve([0.2], [10], m=1, p=0.5))
-        s = p_guess_bound(0.5).value ** 2
-        expected = sum(math.comb(10, k) * s**k * (1 - s) ** (10 - k) for k in range(8, 11))
-        assert rows[(0.2, 10)] == pytest.approx(expected, rel=1e-12)
 
 
 class TestMcExtractRate:

@@ -113,6 +113,19 @@ class TestConfigHandling:
                     "--delta-r", "0.5", "--trials", "0", "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_out_named_out_is_written(self, tmp_path, monkeypatch):
+        # "out" is an ordinary file name, not a request for the default name
+        monkeypatch.chdir(tmp_path)
+        assert run(["bounds", "--out", "out"]) == 0
+        assert (tmp_path / "out").is_file() and not (tmp_path / "bounds.csv").exists()
+
+    def test_bounds_monte_carlo_needs_seed(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--trials", "5", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["bounds", "--trials", "5", "--seed", "0", "--out", str(out)]) == 0
+
     def test_negative_reuse_cap_rejected(self, tmp_path, capsys):
         out = tmp_path / "p"
         assert run(["protocol", "--seed", "1", "--reuse-cap", "-1", "--out", str(out)]) == 2

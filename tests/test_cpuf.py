@@ -114,53 +114,3 @@ class TestStatistics:
         freq_zero = 1.0 - model.eval_batch(ch).mean()
         sigma = np.sqrt(p * (1 - p) / len(ch))
         assert abs(freq_zero - p) <= 3 * sigma
-
-    def test_quality_metrics_ideal(self):
-        model = cpuf.CpufModel.ideal(16, 4, 0.5, 11)
-        metrics = cpuf.quality_metrics(model, 20000, derive_rng(29))
-        assert abs(metrics["bias_estimate"] - 0.5) <= 0.02
-        assert abs(metrics["inter_distance"] - 0.5) <= 0.02
-        assert metrics["intra_distance"] == 0.0
-
-    def test_quality_metrics_rejects_small_samples(self):
-        with pytest.raises(ValueError):
-            cpuf.quality_metrics(cpuf.CpufModel.ideal(8, 1, 0.5, 1), 10, derive_rng(30))
-
-
-class TestSerialization:
-    def test_round_trip_xor(self, tmp_path):
-        model = cpuf.CpufModel.xor_arbiter(20, 2, 4, 555)
-        path = tmp_path / "model.txt"
-        cpuf.save_model(model, path)
-        loaded = cpuf.load_model(path)
-        ch = cpuf.random_challenges(20, 500, derive_rng(33))
-        assert np.array_equal(model.eval_batch(ch), loaded.eval_batch(ch))
-        assert (loaded.kind, loaded.n, loaded.k, loaded.out_bits, loaded.seed) == \
-            (model.kind, model.n, model.k, model.out_bits, model.seed)
-
-    def test_round_trip_ideal(self, tmp_path):
-        model = cpuf.CpufModel.ideal(12, 2, 0.6, 77)
-        path = tmp_path / "model.txt"
-        cpuf.save_model(model, path)
-        loaded = cpuf.load_model(path)
-        ch = cpuf.random_challenges(12, 200, derive_rng(34))
-        assert np.array_equal(model.eval_batch(ch), loaded.eval_batch(ch))
-
-    def test_loads_v1_noise_free_file_and_refuses_noise(self, tmp_path):
-        model = cpuf.CpufModel.ideal(12, 2, 0.6, 77)
-        path = tmp_path / "model.txt"
-        for noise_rate, loads in (("0.0", True), ("0.1", False)):
-            path.write_text(f"{cpuf.FORMAT_HEADER}\nkind=ideal n=12 k=1 out_bits=2 "
-                            f"seed=77 p=0.6 noise_rate={noise_rate}\n")
-            if loads:
-                ch = cpuf.random_challenges(12, 200, derive_rng(35))
-                assert np.array_equal(model.eval_batch(ch), cpuf.load_model(path).eval_batch(ch))
-            else:
-                with pytest.raises(ValueError):
-                    cpuf.load_model(path)
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ValueError):
-            cpuf.load_model(path)
