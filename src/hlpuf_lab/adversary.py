@@ -296,31 +296,37 @@ class LrModel:
     validation_accuracy: float
     diverged: bool = False
 
-    def decision(self, challenges: np.ndarray) -> np.ndarray:
-        phi = transform_batch(np.asarray(challenges, dtype=np.uint8))
-        return np.prod(phi @ self.weights.T, axis=1)
+    def predict(self, challenges: np.ndarray, features: np.ndarray | None = None) -> np.ndarray:
+        """Predicted bits; ``features`` is transform_batch(challenges) when the caller holds it."""
+        if features is None:
+            features = transform_batch(np.asarray(challenges, dtype=np.uint8))
+        return _predict(features, self.weights)
 
-    def predict(self, challenges: np.ndarray) -> np.ndarray:
-        return (self.decision(challenges) < 0.0).astype(np.uint8)
-
-    def accuracy(self, challenges: np.ndarray, bits: np.ndarray) -> float:
-        return float(np.mean(self.predict(challenges) == np.asarray(bits, dtype=np.uint8)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    def accuracy(self, challenges: np.ndarray, bits: np.ndarray,
+                 features: np.ndarray | None = None) -> float:
+        predicted = self.predict(challenges, features)
+        return float(np.mean(predicted == np.asarray(bits, dtype=np.uint8)))
 
 
-def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig) -> LrModel:
+def _predict(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (np.prod(phi @ w.T, axis=1) < 0.0).astype(np.uint8)
+
+
+def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
+             features: np.ndarray | None = None) -> LrModel:
     """Fit one response-bit model by RProp-style mini-batch gradient descent.
 
     Deterministic per (db, config.seed). Keeps the best of config.restarts
     random restarts by validation accuracy; a diverging restart returns its
-    best-so-far weights with the flag set.
+    best-so-far weights with the flag set. ``features`` is
+    transform_batch(db.challenges) when the caller holds it: the transform
+    works row by row, so rows sliced from a larger transform are the same.
     """
     if len(db) == 0:
         raise ValueError("empty database")
-    phi = transform_batch(db.challenges)
+    if config.epochs < 1 or config.restarts < 1:
+        raise ValueError("epochs and restarts must be at least 1")
+    phi = transform_batch(db.challenges) if features is None else features
     y = db.responses[:, target].astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0x7FFFFFFF, 0x10C157]))
     n_total = len(y)
@@ -336,36 +342,46 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig) -> LrModel:
     for _ in range(config.restarts):
         w = rng.normal(0.0, 1.0, size=(k, phi.shape[1]))
         step = np.full_like(w, config.step_init)
-        prev_g = np.zeros_like(w)
+        grad, prev_g = np.empty_like(w), np.zeros_like(w)  # two buffers that swap each step
         restart_best_w, restart_best_acc = w.copy(), -1.0
         stall = 0
         for _epoch in range(config.epochs):
             order = rng.permutation(len(y_t))
             for lo in range(0, len(y_t), config.batch_size):
                 idx = order[lo: lo + config.batch_size]
-                pb = phi_t[idx]
+                pb = phi_t.take(idx, axis=0)
                 d = pb @ w.T
-                dec = np.prod(d, axis=1)
-                err = _sigmoid(-dec) - y_t[idx]  # = -dL/d(dec)
-                grad = np.empty_like(w)
+                # err = sigmoid(-dec) - y = -dL/d(dec), with sigmoid(z) = (1 + tanh(z/2)) / 2
+                err = d[:, 0] * d[:, 1] if k == 2 else np.prod(d, axis=1)
+                err *= -0.5
+                np.tanh(err, out=err)
+                err += 1.0
+                err *= 0.5
+                err -= y_t.take(idx)
+                # row l is dL/dw_l = -(err * prod of the other columns) @ pb / B; for
+                # k >= 3 the leave-one-out product keeps np.prod's association
                 for l in range(k):
                     if k == 1:
-                        others = np.ones(len(idx))
+                        v = err
+                    elif k == 2:
+                        v = err * d[:, 1 - l]
                     else:
-                        others = np.prod(np.delete(d, l, axis=1), axis=1)
-                    grad[l] = -(err * others) @ pb / len(idx)
+                        v = err * np.prod(np.delete(d, l, axis=1), axis=1)
+                    np.matmul(v, pb, out=grad[l])
+                grad /= -len(idx)
                 agree = grad * prev_g
+                flipped = agree < 0
                 step = np.where(agree > 0, np.minimum(step * config.step_up, config.step_max),
-                                np.where(agree < 0, np.maximum(step * config.step_down,
-                                                               config.step_min), step))
-                grad = np.where(agree < 0, 0.0, grad)
-                w = w - np.sign(grad) * step
-                prev_g = grad
+                                step)
+                step = np.where(flipped, np.maximum(step * config.step_down, config.step_min),
+                                step)
+                grad[flipped] = 0.0
+                w -= np.sign(grad) * step
+                grad, prev_g = prev_g, grad
             if not np.all(np.isfinite(w)):
                 diverged = True
                 break
-            val_pred = (np.prod(phi_v @ w.T, axis=1) < 0.0).astype(np.uint8)
-            acc = float(np.mean(val_pred == y_v))
+            acc = float(np.mean(_predict(phi_v, w) == y_v))
             if acc > restart_best_acc + 1e-4:
                 restart_best_acc, restart_best_w = acc, w.copy()
                 stall = 0
@@ -464,9 +480,10 @@ def _learn_replay(device, q, config, rng):
 
 
 def _learn_probe(device, q, config, rng):
-    """Probe the lock with |0> halves; whatever it releases, the forger learns nothing."""
+    """Probe the lock with halves of basis-0 value-0 blocks; the forger learns nothing."""
     locked = HlpufDevice(device)
-    probe = [qstate.bb84_state(0, 0) for _ in range(config.m)]
+    blocks = config.m // device.scheme.qubits_per_block
+    probe = [device.scheme.family().basis_state(0, 0) for _ in range(blocks)]
     for x in random_challenges(config.n, q, rng):
         locked.lock_query(x, list(probe), rng)
 

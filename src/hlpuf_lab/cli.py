@@ -7,7 +7,8 @@ adversary), ``selfcheck`` (module invariant battery). Identical (config,
 seed) reruns produce byte-identical CSV/JSON; wall-clock timings go only to
 the opt-in --timing-log side file, which is excluded from that guarantee.
 
-Exit codes: 0 success, 1 invariant failure, 2 configuration error.
+Exit codes: 0 success, 1 invariant or run-time failure, 2 configuration error
+(every configuration is checked before a run starts).
 """
 
 import argparse
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, analytics, qstate
 from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extraction_stats,
                         lr_train, multi_copy_extract_batch)
-from .cpuf import CpufModel, random_challenges
+from .cpuf import CpufModel, random_challenges, transform_batch
 from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, decode_block, encode_half,
                      int_to_bits, server_verify)
 from .protocol import (IdentityAdversary, InterceptResendAdversary, PassiveObserver,
@@ -178,7 +179,9 @@ def _curve_task(payload):
     else:
         stats = {"bit_rate": 1.0, "epsilon": 0.0}
 
-    test_ch = challenges[q_max:]
+    # one feature transform per cell: training and testing read slices of it
+    phi = transform_batch(challenges)
+    test_ch, test_phi = challenges[q_max:], phi[q_max:]
     test_bits = values[q_max:].astype(np.uint8)
     rows = []
     for q in sorted(config.q_grid):
@@ -192,8 +195,8 @@ def _curve_task(payload):
             model = LrModel(weights=w, config=lr_config, validation_accuracy=0.5)
         else:
             db = CrpDatabase(challenges[:q], labels[:q, None])
-            model = lr_train(db, 0, config.k, lr_config)
-        accuracy = model.accuracy(test_ch, test_bits)
+            model = lr_train(db, 0, config.k, lr_config, features=phi[:q])
+        accuracy = model.accuracy(test_ch, test_bits, features=test_phi)
         runtime = time.perf_counter() - t0
         rows.append(AttackResult(
             seed=seed_index, q=q, scheme=config.scheme, k=config.k, n=config.n,
@@ -520,6 +523,19 @@ def _check_bound_inputs(config: ExperimentConfig) -> None:
         raise ValueError("trials must be at least 0")
 
 
+def _check_curve_inputs(config: ExperimentConfig) -> None:
+    """Every attack-curve setting is checked before any cell is trained."""
+    if config.scheme != "bb84" or config.m != 1:
+        raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
+    for key in ("k", "epochs", "restarts", "batch_size", "curve_seeds", "test_size"):
+        if getattr(config, key) < 1:
+            raise ValueError(f"{key.replace('_', '-')} must be at least 1")
+    if config.multi_copies < 2:
+        raise ValueError("multi-copies must be at least 2")
+    if not config.q_grid or min(config.q_grid) < 0:
+        raise ValueError("q-grid needs at least one entry, and every q must be at least 0")
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     base = {}
     if getattr(args, "config", None):
@@ -545,8 +561,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     config = ExperimentConfig(**merged)
-    if config.command == "attack-curve" and (config.scheme != "bb84" or config.m != 1):
-        raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
+    if config.command == "attack-curve":
+        _check_curve_inputs(config)
     if config.command in ("bounds", "protocol") and config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}")
     if config.command == "bounds":
@@ -554,6 +570,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if config.trials > 0 and not seeded:
             raise ValueError("--seed is required for Monte Carlo rows (--trials > 0)")
     if config.command == "protocol":
+        if config.rounds < 1:
+            raise ValueError("rounds must be at least 1")
+        if config.puf == "xor" and config.k < 1:
+            raise ValueError("k must be at least 1")
+        if config.puf == "ideal" and not 0.5 <= config.p <= 1.0:
+            raise ValueError("p must lie in [0.5, 1]")
         if config.reuse_cap is not None and config.reuse_cap < 0:
             raise ValueError("reuse cap must be at least 0")
         per_block = SCHEMES[config.scheme].qubits_per_block
@@ -587,9 +609,9 @@ def main(argv=None) -> int:
             return cmd_protocol(config)
         if config.command == "selfcheck":
             return cmd_selfcheck(config)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as exc:  # the config was checked: a run-time failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

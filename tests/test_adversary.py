@@ -1,4 +1,5 @@
 from dataclasses import replace
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, SplitAttack,
                                  multi_copy_extract, multi_copy_extract_batch,
                                  run_unforgeability_game, split_attack_extract,
                                  wire_amplitudes)
-from hlpuf_lab.cpuf import CpufModel, random_challenges
+from hlpuf_lab.cpuf import CpufModel, random_challenges, transform_batch
 from hlpuf_lab.hybrid import BB84, MUB4, MUB8, encode_half
 from hlpuf_lab.seeding import derive_rng
 
@@ -305,6 +306,108 @@ class TestLrTrain:
                                   .accuracy(ch[q:], bits[q:, 0]))
         assert np.mean(clean_accs) >= np.mean(extracted_accs)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_match_the_leave_one_out_reference(self, k, seed):
+        # q - round(q / 10) training rows: 270 and 700, neither a multiple of 128
+        for q in (300, 778):
+            truth = CpufModel.xor_arbiter(12, k, 1, 930 + seed)
+            ch = random_challenges(12, q + 500, derive_rng(93, seed, q))
+            db = CrpDatabase(ch[:q], truth.eval_batch(ch[:q]))
+            cfg = LrConfig(seed=seed, epochs=6, restarts=2, batch_size=128, patience=3)
+            want_w, want_acc, want_diverged = reference_lr_train(db, 0, k, cfg)
+            # features sliced from a larger transform are the transform of the slice
+            for got in (lr_train(db, 0, k, cfg),
+                        lr_train(db, 0, k, cfg, features=transform_batch(ch)[:q])):
+                assert sha256(got.weights.tobytes()).hexdigest() == \
+                    sha256(want_w.tobytes()).hexdigest()
+                assert (got.validation_accuracy, got.diverged) == (want_acc, want_diverged)
+            assert got.accuracy(ch[q:], truth.eval_batch(ch[q:])[:, 0],
+                                features=transform_batch(ch)[q:]) == \
+                got.accuracy(ch[q:], truth.eval_batch(ch[q:])[:, 0])
+
+    def test_one_k2_step_follows_the_analytic_gradient(self):
+        # 90 training rows fit one batch, so one epoch is one RProp step from the
+        # initial weights, whose step sizes are all step_init (no previous gradient)
+        n, q, seed = 10, 100, 4
+        truth = CpufModel.xor_arbiter(n, 2, 1, 94)
+        ch = random_challenges(n, q, derive_rng(94))
+        db = CrpDatabase(ch, truth.eval_batch(ch))
+        cfg = LrConfig(seed=seed, epochs=1, restarts=1)
+        model = lr_train(db, 0, 2, cfg)
+
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10C157]))
+        train = rng.permutation(q)[10:]
+        w0 = rng.normal(0.0, 1.0, size=(2, n + 1))
+        phi = transform_batch(ch[train])
+        y = db.responses[train, 0].astype(np.float64)
+        d = phi @ w0.T
+        # L = mean BCE(y, P(bit=1) = 1 / (1 + exp(d0 d1))); dL/dw_l = mean((y - P) d_other phi)
+        p_one = 1.0 / (1.0 + np.exp(d[:, 0] * d[:, 1]))
+        grad = np.stack([np.mean(((y - p_one) * d[:, 1 - l])[:, None] * phi, axis=0)
+                         for l in (0, 1)])
+        assert np.min(np.abs(grad)) > 1e-6  # every sign is decided
+        assert np.array_equal(model.weights, w0 - np.sign(grad) * cfg.step_init)
+
+    @pytest.mark.parametrize("changes", [{"epochs": 0}, {"restarts": 0}])
+    def test_needs_an_epoch_and_a_restart(self, changes):
+        db, _, _ = self._clean_db(8, 1, 50, 95)
+        with pytest.raises(ValueError, match="at least 1"):
+            lr_train(db, 0, 1, replace(LrConfig(), **changes))
+
+
+def reference_lr_train(db, target, k, config):
+    """Reference trainer: each step takes every column's leave-one-out np.prod(np.delete(...))."""
+    phi = transform_batch(db.challenges)
+    y = db.responses[:, target].astype(np.float64)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0x7FFFFFFF, 0x10C157]))
+    n_val = max(1, int(round(config.val_fraction * len(y))))
+    perm = rng.permutation(len(y))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    phi_v, y_v = phi[val_idx], y[val_idx]
+    phi_t, y_t = phi[train_idx], y[train_idx]
+    best_w, best_acc, diverged = None, -1.0, False
+    for _ in range(config.restarts):
+        w = rng.normal(0.0, 1.0, size=(k, phi.shape[1]))
+        step = np.full_like(w, config.step_init)
+        prev_g = np.zeros_like(w)
+        restart_best_w, restart_best_acc, stall = w.copy(), -1.0, 0
+        for _epoch in range(config.epochs):
+            order = rng.permutation(len(y_t))
+            for lo in range(0, len(y_t), config.batch_size):
+                idx = order[lo: lo + config.batch_size]
+                pb = phi_t[idx]
+                d = pb @ w.T
+                dec = np.prod(d, axis=1)
+                err = 0.5 * (1.0 + np.tanh(0.5 * -dec)) - y_t[idx]
+                grad = np.empty_like(w)
+                for l in range(k):
+                    others = np.ones(len(idx)) if k == 1 else \
+                        np.prod(np.delete(d, l, axis=1), axis=1)
+                    grad[l] = -(err * others) @ pb / len(idx)
+                agree = grad * prev_g
+                step = np.where(agree > 0, np.minimum(step * config.step_up, config.step_max),
+                                np.where(agree < 0, np.maximum(step * config.step_down,
+                                                               config.step_min), step))
+                grad = np.where(agree < 0, 0.0, grad)
+                w = w - np.sign(grad) * step
+                prev_g = grad
+            if not np.all(np.isfinite(w)):
+                diverged = True
+                break
+            acc = float(np.mean((np.prod(phi_v @ w.T, axis=1) < 0.0) == y_v))
+            if acc > restart_best_acc + 1e-4:
+                restart_best_acc, restart_best_w, stall = acc, w.copy(), 0
+            else:
+                stall += 1
+            if restart_best_acc >= config.stop_validation or stall >= config.patience:
+                break
+        if restart_best_acc > best_acc:
+            best_acc, best_w = restart_best_acc, restart_best_w
+        if best_acc >= config.stop_validation:
+            break
+    return best_w, best_acc, diverged
+
 
 def intercept_oracle():
     """Enumerate 4 states x 2 bases x outcomes: (flip prob, recorded accuracy)."""
@@ -413,6 +516,24 @@ class TestGame:
             probe = [qstate.bb84_state(1, 0), qstate.bb84_state(1, 0)]
             assert device.lock_query(x, probe, rng) is ABORT
         assert device.query_log == 0
+
+    def test_direct_probe_opens_an_mub4_lock(self, monkeypatch):
+        # p=1 device: every first-half block is basis 0, value 0, which is the probe,
+        # so each probe of one whole mub4 block passes the lock
+        from hlpuf_lab import adversary
+        from hlpuf_lab.hybrid import HlpufDevice, HpufDevice
+        locks = []
+
+        class RecordedLock(HlpufDevice):
+            def __init__(self, hpuf):
+                super().__init__(hpuf)
+                locks.append(self)
+
+        monkeypatch.setattr(adversary, "HlpufDevice", RecordedLock)
+        device = HpufDevice(CpufModel.ideal(8, 8, 1.0, 9), MUB4)
+        probe = adversary.STRATEGIES["direct_probe"].learners["hlpuf"]
+        probe(device, 12, GameConfig(n=8, m=2, scheme_kind="mub4"), derive_rng(96))
+        assert [lock.query_log for lock in locks] == [12]
 
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):

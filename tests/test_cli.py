@@ -126,6 +126,45 @@ class TestConfigHandling:
         assert not out.exists()
         assert run(["bounds", "--trials", "5", "--seed", "0", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"], ["--restarts", "0"], ["--curve-seeds", "0"], ["--test-size", "0"],
+        ["--q-grid", "100,-1"], ["--q-grid="], ["--k", "0"], ["--multi-copies", "1"],
+    ])
+    def test_attack_curve_inputs_checked_before_run(self, tmp_path, capsys, monkeypatch,
+                                                    flags):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell was trained before the inputs were checked")
+
+        monkeypatch.setattr(cli, "lr_train", no_training)
+        out = tmp_path / "c.csv"
+        assert run(["attack-curve", "--seed", "1", "--n", "8", "--q-grid", "50",
+                    "--test-size", "50", *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--rounds", "0"], ["--k", "0"], ["--puf", "ideal", "--p", "1.5"],
+    ])
+    def test_protocol_inputs_checked_before_run(self, tmp_path, capsys, flags):
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "1", "--n", "8", "--db-size", "8", *flags,
+                    "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_time_failures_exit_1(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["bounds", "--out", str(blocker / "b.csv")]) == 1
+        assert "config error" not in capsys.readouterr().err
+
+        def failing_run(config):
+            raise ValueError("an invariant broke mid-run")
+
+        monkeypatch.setattr(cli, "cmd_bounds", failing_run)
+        assert run(["bounds", "--out", str(tmp_path / "b.csv")]) == 1
+        assert "invariant broke" in capsys.readouterr().err
+
     def test_negative_reuse_cap_rejected(self, tmp_path, capsys):
         out = tmp_path / "p"
         assert run(["protocol", "--seed", "1", "--reuse-cap", "-1", "--out", str(out)]) == 2
@@ -146,6 +185,16 @@ class TestGoldenOutputs:
                     "--q-grid", "10,100", "--out", str(out)]) == 0
         assert sha256(out) == \
             "689e578a2dd91f3dfffb1a68d3ba1ab9faa8b380e4c0f3a4121a75d7d63fee38"
+
+    def test_attack_curve_k2(self, tmp_path):
+        # q - round(q / 10) training rows, 270 and 900: the last batch of each epoch is short
+        out = tmp_path / "c.csv"
+        assert run(["attack-curve", "--seed", "61", "--n", "16", "--k", "2",
+                    "--q-grid", "0,300,1000", "--curve-seeds", "2", "--test-size", "1500",
+                    "--epochs", "12", "--restarts", "2", "--multi-copies", "5",
+                    "--out", str(out)]) == 0
+        assert sha256(out) == \
+            "2a0e39fae5a4104634c815e86a2e0154972586b5f6f0356d7b736b954685a3a8"
 
     def test_protocol_intercept_session(self, tmp_path):
         out = tmp_path / "p"
