@@ -146,29 +146,44 @@ class SplitAttack:
         basis_t = None if basis_p is None else basis_p.reshape(2, n_theta, self.n_values)
         return value_t, basis_t
 
-    def _sample(self, value_p, basis_p, index, rng: np.random.Generator):
-        """Stagewise guesses at ``index`` into the stage arrays: outcome 1 when u < P(1)."""
-        shape = np.shape(index[0])
-        prefix = np.zeros(shape, dtype=np.int64)
+    def _sample(self, value_p, basis_p, code: np.ndarray, rng: np.random.Generator):
+        """Stagewise guesses of the blocks ``code``: outcome 1 when u < P(1).
+
+        Each stage array is read raveled at ``prefix * width + code``, width
+        being its size per prefix. Returns (guessed value ints as intp, guessed
+        theta as bool with a basis stage, else uniform int64 draws).
+        """
+        u = np.empty(code.shape)
+        hit = np.empty(code.shape, dtype=bool)
+        prefix = np.zeros(code.shape, dtype=np.intp)
+        at = np.empty(code.shape, dtype=np.intp)
+
+        def draw(p):
+            rng.random(out=u)
+            np.multiply(prefix, p[0].size, out=at)
+            np.add(at, code, out=at)
+            return np.less(u, p.ravel().take(at), out=hit)
+
         for p in value_p:
-            bit = (rng.random(shape) < p[(prefix, *index)]).astype(np.int64)
-            prefix = (prefix << 1) | bit
-        if basis_p is not None:
-            theta_guess = (rng.random(shape) < basis_p[(prefix, *index)]).astype(np.int64)
-        else:
-            theta_guess = rng.integers(0, self.scheme.bases_used, size=shape)
-        return prefix, theta_guess
+            bit = draw(p)
+            prefix <<= 1
+            prefix |= bit
+        if basis_p is None:
+            return prefix, rng.integers(0, self.scheme.bases_used, size=code.shape)
+        return prefix, draw(basis_p)
 
     def guess_blocks_vectorized(self, values: np.ndarray, thetas: np.ndarray,
                                 rng: np.random.Generator):
-        """(guessed value ints, guessed theta ints) for arrays of true blocks."""
+        """(guessed value ints, guessed thetas) for arrays of true blocks."""
         value_t, basis_t = self.tables
-        return self._sample(value_t, basis_t, (thetas, values), rng)
+        code = np.multiply(thetas, self.n_values, dtype=np.intp)
+        code += values
+        return self._sample(value_t, basis_t, code, rng)
 
     def guess_amplitudes(self, amps: np.ndarray, rng: np.random.Generator):
-        """(guessed value ints, guessed theta ints) for received amplitude rows (N, dim)."""
+        """(guessed value ints, guessed thetas) for received amplitude rows (N, dim)."""
         value_p, basis_p = self.p_one(amps)
-        return self._sample(value_p, basis_p, (np.arange(len(amps)),), rng)
+        return self._sample(value_p, basis_p, np.arange(len(amps)), rng)
 
 
 def _born(amps: np.ndarray, basis: np.ndarray) -> np.ndarray:

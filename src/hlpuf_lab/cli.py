@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -527,13 +528,38 @@ def _check_curve_inputs(config: ExperimentConfig) -> None:
     """Every attack-curve setting is checked before any cell is trained."""
     if config.scheme != "bb84" or config.m != 1:
         raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
-    for key in ("k", "epochs", "restarts", "batch_size", "curve_seeds", "test_size"):
+    for key in ("n", "k", "epochs", "restarts", "batch_size", "curve_seeds", "test_size"):
         if getattr(config, key) < 1:
             raise ValueError(f"{key.replace('_', '-')} must be at least 1")
     if config.multi_copies < 2:
         raise ValueError("multi-copies must be at least 2")
     if not config.q_grid or min(config.q_grid) < 0:
         raise ValueError("q-grid needs at least one entry, and every q must be at least 0")
+
+
+def _json_fits(value, kind) -> bool:
+    if isinstance(value, bool):  # JSON true/false is no number
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_file_types(base: dict) -> None:
+    """Each config-file value has its field's type; list fields take lists of the default's."""
+    fields = ExperimentConfig.__dataclass_fields__
+    for key, value in base.items():
+        if key not in fields:
+            continue  # reported with the other unknown keys
+        field = fields[key]
+        if field.type is tuple:
+            kind = type(field.default[0])
+            ok = isinstance(value, list) and all(_json_fits(x, kind) for x in value)
+            want = f"a list of {kind.__name__}"
+        else:
+            kinds = typing.get_args(field.type) or (field.type,)
+            ok = any(_json_fits(value, k) for k in kinds)
+            want = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        if not ok:
+            raise ValueError(f"config value {key!r} must be {want}, not {value!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -543,6 +569,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
+        _check_file_types(base)
     merged = dict(base)
     for key, value in vars(args).items():
         if key == "config" or value is None:
@@ -572,6 +599,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if config.command == "protocol":
         if config.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        if config.n < 1:
+            raise ValueError("n must be at least 1")
         if config.puf == "xor" and config.k < 1:
             raise ValueError("k must be at least 1")
         if config.puf == "ideal" and not 0.5 <= config.p <= 1.0:

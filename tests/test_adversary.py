@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import qstate
+from hlpuf_lab.analytics import mc_extract_rate
 from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, SplitAttack,
                                  extraction_stats, intercept_resend, lr_train,
                                  multi_copy_extract, multi_copy_extract_batch,
@@ -110,6 +111,91 @@ def test_wire_amplitudes_match_encode_half(scheme):
     got = wire_amplitudes(bits, scheme)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def reference_sample(attack, value_p, basis_p, index, rng):
+    """Reference sampler: each stage reads p[(prefix, *index)] through a tuple of index arrays."""
+    shape = np.shape(index[0])
+    prefix = np.zeros(shape, dtype=np.int64)
+    for p in value_p:
+        bit = (rng.random(shape) < p[(prefix, *index)]).astype(np.int64)
+        prefix = (prefix << 1) | bit
+    if basis_p is not None:
+        theta_guess = (rng.random(shape) < basis_p[(prefix, *index)]).astype(np.int64)
+    else:
+        theta_guess = rng.integers(0, attack.scheme.bases_used, size=shape)
+    return prefix, theta_guess
+
+
+def reference_mc_counts(scheme, m, p, q, trials, rng, prior_bases=None):
+    """(success_counts, response rate) of mc_extract_rate's draws through reference_sample."""
+    attack = SplitAttack(scheme, p=p, prior_bases=prior_bases)
+    shape = (trials, q, m // scheme.qubits_per_block)
+    if scheme.kind == "bb84":
+        values = (rng.random(shape) >= p).astype(np.int64)
+        thetas = (rng.random(shape) >= p).astype(np.int64)
+    else:
+        values = rng.integers(0, attack.n_values, size=shape)
+        thetas = rng.integers(0, attack.prior_bases, size=shape)
+    value_t, basis_t = attack.tables
+    value_guess, theta_guess = reference_sample(attack, value_t, basis_t, (thetas, values), rng)
+    response_ok = np.all((value_guess == values) & (theta_guess == thetas), axis=2)
+    return response_ok.sum(axis=1), float(np.mean(response_ok))
+
+
+def assert_same_draws(got, want, rng_got, rng_want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    # both consumed the same number of draws
+    assert rng_got.random() == rng_want.random()
+
+
+class TestSamplerMatchesReference:
+    """The flat-index sampler guesses draw for draw as the tuple-index reference."""
+
+    @pytest.mark.parametrize("scheme,p,prior,dtype", [
+        (BB84, 0.5, 1, np.int64), (BB84, 0.5, 2, np.int64), (BB84, 0.7, 1, np.int64),
+        (BB84, 0.7, 2, np.int64), (BB84, 1.0, 1, np.int64), (BB84, 1.0, 2, np.int64),
+        (BB84, 0.5, 2, bool), (BB84, 0.7, 1, bool), (BB84, 1.0, 2, bool),
+        (MUB4, 0.5, 4, np.int64), (MUB4, 0.5, 5, np.int64),
+        (MUB8, 0.5, 8, np.int64), (MUB8, 0.5, 9, np.int64),
+    ])
+    def test_table_path(self, scheme, p, prior, dtype):
+        attack = SplitAttack(scheme, p=p, prior_bases=prior)
+        rng = derive_rng(130)
+        shape = (6, 40, 3)
+        values = rng.integers(0, attack.n_values, size=shape)
+        thetas = rng.integers(0, len(scheme.family()), size=shape)
+        rng_got, rng_want = derive_rng(131), derive_rng(131)
+        got = attack.guess_blocks_vectorized(values.astype(dtype), thetas.astype(dtype), rng_got)
+        # the reference indexes with int arrays: bool arrays there would be masks
+        want = reference_sample(attack, *attack.tables, (thetas, values), rng_want)
+        assert_same_draws(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("scheme,prior", [(BB84, None), (BB84, 1), (MUB4, None),
+                                              (MUB4, 5), (MUB8, 9)])
+    def test_amplitude_path(self, scheme, prior):
+        rng = derive_rng(132)
+        dim = scheme.block_dim
+        amps = rng.normal(size=(300, dim)) + 1j * rng.normal(size=(300, dim))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        attack = SplitAttack(scheme, prior_bases=prior)
+        rng_got, rng_want = derive_rng(133), derive_rng(133)
+        got = attack.guess_amplitudes(amps, rng_got)
+        want = reference_sample(attack, *attack.p_one(amps), (np.arange(len(amps)),), rng_want)
+        assert_same_draws(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("scheme,m,p,prior", [
+        (BB84, 3, 0.5, None), (BB84, 2, 0.7, 1), (BB84, 2, 1.0, None),
+        (MUB4, 4, 0.5, None), (MUB4, 4, 0.5, 5), (MUB8, 6, 0.5, 9),
+    ])
+    def test_mc_extract_rate(self, scheme, m, p, prior):
+        rng_got, rng_want = derive_rng(134), derive_rng(134)
+        res = mc_extract_rate(scheme, m, p, 30, 50, rng_got, prior_bases=prior)
+        counts, rate = reference_mc_counts(scheme, m, p, 30, 50, rng_want, prior)
+        assert np.array_equal(res.success_counts, counts)
+        assert res.response_success_rate == rate
+        assert rng_got.random() == rng_want.random()
 
 
 class TestSplitAttackMub8:

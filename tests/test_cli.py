@@ -165,6 +165,32 @@ class TestConfigHandling:
         assert run(["bounds", "--out", str(tmp_path / "b.csv")]) == 1
         assert "invariant broke" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key", [("attack-curve", "epochs"),
+                                             ("protocol", "rounds")])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: "5"}))
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config value '{key}' must be int" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,stage,flags", [
+        ("attack-curve", "lr_train", ["--q-grid", "50", "--curve-seeds", "1",
+                                      "--test-size", "50", "--epochs", "2", "--restarts", "1"]),
+        ("protocol", "run_session", ["--rounds", "3", "--db-size", "8"]),
+    ])
+    def test_zero_stage_puf_rejected_before_run(self, tmp_path, capsys, monkeypatch,
+                                                command, stage, flags):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before n was checked")
+
+        monkeypatch.setattr(cli, stage, never)
+        out = tmp_path / "o"
+        assert run([command, "--seed", "1", "--n", "0", *flags, "--out", str(out)]) == 2
+        assert "n must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_reuse_cap_rejected(self, tmp_path, capsys):
         out = tmp_path / "p"
         assert run(["protocol", "--seed", "1", "--reuse-cap", "-1", "--out", str(out)]) == 2
@@ -185,6 +211,17 @@ class TestGoldenOutputs:
                     "--q-grid", "10,100", "--out", str(out)]) == 0
         assert sha256(out) == \
             "689e578a2dd91f3dfffb1a68d3ba1ab9faa8b380e4c0f3a4121a75d7d63fee38"
+
+    @pytest.mark.parametrize("scheme,m_list,digest", [
+        ("mub4", "2,4", "4db212df9efc73fa653242a10a3ffdc25bb4b9886573c7161cfa98cd0f3954c6"),
+        ("mub8", "3,6", "3deab905cc50b0468e95403fc58df59d7415ca031c3f65db3adeb7edc433516a"),
+    ])
+    def test_bounds_monte_carlo_mub(self, tmp_path, scheme, m_list, digest):
+        # multi-stage value prefixes and integer block draws
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--seed", "5", "--trials", "200", "--scheme", scheme,
+                    "--m-list", m_list, "--q-grid", "1,10", "--out", str(out)]) == 0
+        assert sha256(out) == digest
 
     def test_attack_curve_k2(self, tmp_path):
         # q - round(q / 10) training rows, 270 and 900: the last batch of each epoch is short
