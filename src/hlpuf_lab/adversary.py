@@ -563,7 +563,9 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
         db = learn(device, q, config, child) if learn else None
         models = None
         if db is not None:  # one bit model per verified column, the last ``surface``
-            models = [lr_train(db, t, config.k, replace(lr, seed=lr.seed + 1009 * t))
+            phi = transform_batch(db.challenges)
+            models = [lr_train(db, t, config.k, replace(lr, seed=lr.seed + 1009 * t),
+                               features=phi)
                       for t in range(db.responses.shape[1])[-surface:]]
 
         wins = 0

@@ -161,8 +161,9 @@ def _curve_labels(mode: str, values, thetas, config: ExperimentConfig, rng):
 
 
 def _curve_task(payload):
-    """One (curve seed, mode) cell: extract labels once, train across the q grid."""
-    cfg_dict, seed_index, mode = payload
+    """One curve seed: draw, evaluate and transform its challenges once, then
+    extract labels and train across the q grid for every learning route."""
+    cfg_dict, seed_index = payload
     config = ExperimentConfig(**cfg_dict)
     rng = derive_rng(config.seed, 1, seed_index)
     model_seed = int(rng.integers(0, 2**31 - 1))
@@ -170,62 +171,61 @@ def _curve_task(payload):
     cpuf = CpufModel.xor_arbiter(config.n, config.k, 2, model_seed)
     q_max = max(config.q_grid)
     challenges = random_challenges(config.n, q_max + config.test_size, rng)
-    bits = cpuf.eval_batch(challenges)
-    values, thetas = bits[:, 0].astype(np.int64), bits[:, 1].astype(np.int64)
-
-    label_rng = derive_rng(config.seed, 2, seed_index, CURVE_MODES.index(mode))
-    labels = _curve_labels(mode, values[:q_max], thetas[:q_max], config, label_rng)
-    if q_max > 0:
-        stats = extraction_stats(values[:q_max, None], labels[:, None])
-    else:
-        stats = {"bit_rate": 1.0, "epsilon": 0.0}
-
-    # one feature transform per cell: training and testing read slices of it
+    # one feature transform per seed: evaluation, training and testing read it
     phi = transform_batch(challenges)
+    bits = cpuf.eval_batch(challenges, features=phi)
+    values, thetas = bits[:, 0].astype(np.int64), bits[:, 1].astype(np.int64)
     test_ch, test_phi = challenges[q_max:], phi[q_max:]
     test_bits = values[q_max:].astype(np.uint8)
+
     rows = []
-    for q in sorted(config.q_grid):
-        t0 = time.perf_counter()
-        lr_seed = int(derive_rng(config.seed, 3, seed_index,
-                                 CURVE_MODES.index(mode), q).integers(0, 2**31 - 1))
-        lr_config = config.lr_config(lr_seed)
-        if q == 0:
-            # nothing to learn from: an untrained random model guesses
-            w = np.random.default_rng(lr_seed).normal(size=(config.k, config.n + 1))
-            model = LrModel(weights=w, config=lr_config, validation_accuracy=0.5)
+    for mode_index, mode in enumerate(CURVE_MODES):
+        label_rng = derive_rng(config.seed, 2, seed_index, mode_index)
+        labels = _curve_labels(mode, values[:q_max], thetas[:q_max], config, label_rng)
+        if q_max > 0:
+            stats = extraction_stats(values[:q_max, None], labels[:, None])
         else:
-            db = CrpDatabase(challenges[:q], labels[:q, None])
-            model = lr_train(db, 0, config.k, lr_config, features=phi[:q])
-        accuracy = model.accuracy(test_ch, test_bits, features=test_phi)
-        runtime = time.perf_counter() - t0
-        rows.append(AttackResult(
-            seed=seed_index, q=q, scheme=config.scheme, k=config.k, n=config.n,
-            m=config.m, mode=mode, test_accuracy=accuracy,
-            extraction_bit_rate=stats["bit_rate"],
-            epsilon_measured=stats["epsilon"], runtime_s=runtime))
-    return (seed_index, CURVE_MODES.index(mode)), rows
+            stats = {"bit_rate": 1.0, "epsilon": 0.0}
+        for q in sorted(config.q_grid):
+            t0 = time.perf_counter()
+            lr_seed = int(derive_rng(config.seed, 3, seed_index, mode_index,
+                                     q).integers(0, 2**31 - 1))
+            lr_config = config.lr_config(lr_seed)
+            if q == 0:
+                # nothing to learn from: an untrained random model guesses
+                w = np.random.default_rng(lr_seed).normal(size=(config.k, config.n + 1))
+                model = LrModel(weights=w, config=lr_config, validation_accuracy=0.5)
+            else:
+                db = CrpDatabase(challenges[:q], labels[:q, None])
+                model = lr_train(db, 0, config.k, lr_config, features=phi[:q])
+            accuracy = model.accuracy(test_ch, test_bits, features=test_phi)
+            runtime = time.perf_counter() - t0
+            rows.append(AttackResult(
+                seed=seed_index, q=q, scheme=config.scheme, k=config.k, n=config.n,
+                m=config.m, mode=mode, test_accuracy=accuracy,
+                extraction_bit_rate=stats["bit_rate"],
+                epsilon_measured=stats["epsilon"], runtime_s=runtime))
+    return rows
 
 
 def cmd_attack_curve(config: ExperimentConfig) -> int:
-    tasks = [(asdict(config), s, mode)
-             for s in range(config.curve_seeds) for mode in CURVE_MODES]
+    tasks = [(asdict(config), s) for s in range(config.curve_seeds)]
     if config.threads > 1:
+        # one task per curve seed: workers beyond --curve-seeds stay idle
         with ProcessPoolExecutor(max_workers=config.threads) as ex:
             results = list(ex.map(_curve_task, tasks))
     else:
         results = [_curve_task(t) for t in tasks]
-    results.sort(key=lambda kv: kv[0])
+    rows = [r for seed_rows in results for r in seed_rows]
 
     out = Path(config.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         fh.write(_csv_header(config, CURVE_COLUMNS))
-        for _key, rows in results:
-            for r in rows:
-                fh.write(r.csv_row(with_runtime=False) + "\n")
+        for r in rows:
+            fh.write(r.csv_row(with_runtime=False) + "\n")
     if config.timing_log:
-        append_attack_results(config.timing_log, [r for _k, rows in results for r in rows])
+        append_attack_results(config.timing_log, rows)
     return 0
 
 
@@ -596,6 +596,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         _check_bound_inputs(config)
         if config.trials > 0 and not seeded:
             raise ValueError("--seed is required for Monte Carlo rows (--trials > 0)")
+        per_block = SCHEMES[config.scheme].qubits_per_block
+        if config.trials > 0 and any(m % per_block for m in config.m_list):
+            raise ValueError(f"Monte Carlo rows need every m a multiple of {per_block} "
+                             f"for {config.scheme}")
     if config.command == "protocol":
         if config.rounds < 1:
             raise ValueError("rounds must be at least 1")
@@ -605,6 +609,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError("k must be at least 1")
         if config.puf == "ideal" and not 0.5 <= config.p <= 1.0:
             raise ValueError("p must lie in [0.5, 1]")
+        if config.db_size < 1:
+            raise ValueError("db-size must be at least 1")
         if config.reuse_cap is not None and config.reuse_cap < 0:
             raise ValueError("reuse cap must be at least 0")
         per_block = SCHEMES[config.scheme].qubits_per_block

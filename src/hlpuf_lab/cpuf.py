@@ -164,12 +164,17 @@ class CpufModel:
         features = transform_batch(c[None, :])
         return np.array([puf.eval_batch(features)[0] for puf in self.bits], dtype=np.uint8)
 
-    def eval_batch(self, challenges: np.ndarray) -> np.ndarray:
-        """(N, out_bits) responses for an (N, n) array of challenges."""
+    def eval_batch(self, challenges: np.ndarray,
+                   features: np.ndarray | None = None) -> np.ndarray:
+        """(N, out_bits) responses for an (N, n) array of challenges; ``features``
+        is transform_batch(challenges) when the caller holds it (never for an ideal PUF)."""
         ch = np.asarray(challenges, dtype=np.uint8)
         if self.kind == KIND_IDEAL:
+            if features is not None:
+                raise ValueError("an ideal PUF has no arbiter features")
             return np.stack([self.bits[0].eval(row) for row in ch])
-        features = transform_batch(ch)
+        if features is None:
+            features = transform_batch(ch)
         return np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hlpuf_lab import cli
+from hlpuf_lab import adversary, analytics, cli, cpuf
 
 
 def run(argv):
@@ -143,14 +143,35 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--rounds", "0"], ["--k", "0"], ["--puf", "ideal", "--p", "1.5"],
+        ["--rounds", "0"], ["--k", "0"], ["--puf", "ideal", "--p", "1.5"], ["--db-size", "0"],
     ])
-    def test_protocol_inputs_checked_before_run(self, tmp_path, capsys, flags):
+    def test_protocol_inputs_checked_before_run(self, tmp_path, capsys, monkeypatch, flags):
+        def never(*args, **kwargs):
+            raise AssertionError("the session ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "run_session", never)
         out = tmp_path / "p"
         assert run(["protocol", "--seed", "1", "--n", "8", "--db-size", "8", *flags,
                     "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme,m_list", [("mub4", "1"), ("mub4", "2,3"),
+                                               ("mub8", "1,2,4,8")])
+    def test_bounds_monte_carlo_needs_whole_blocks(self, tmp_path, capsys, monkeypatch,
+                                                   scheme, m_list):
+        def never(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before m was checked")
+
+        monkeypatch.setattr(analytics, "mc_extract_rate", never)
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--seed", "1", "--trials", "5", "--scheme", scheme,
+                    "--m-list", m_list, "--q-grid", "10", "--out", str(out)]) == 2
+        assert "multiple of" in capsys.readouterr().err
+        assert not out.exists()
+        # without Monte Carlo rows every m is a closed-form input
+        assert run(["bounds", "--scheme", scheme, "--m-list", m_list, "--q-grid", "10",
+                    "--out", str(out)]) == 0
 
     def test_run_time_failures_exit_1(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "file"
@@ -376,3 +397,35 @@ class TestAttackCurveCommand:
         assert run(base + ["--out", str(serial)]) == 0
         assert run(base + ["--out", str(threaded), "--threads", "2"]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+    @pytest.mark.parametrize("curve_seeds", ["1", "3"])
+    def test_thread_pool_matches_serial_for_any_seed_count(self, tmp_path, curve_seeds):
+        # one pool task per curve seed: fewer seeds than workers, or more
+        base = ["attack-curve", "--seed", "24", "--n", "10", "--k", "1",
+                "--q-grid", "0,90", "--curve-seeds", curve_seeds, "--test-size", "600",
+                "--epochs", "10", "--restarts", "1"]
+        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
+        assert run(base + ["--out", str(serial)]) == 0
+        assert run(base + ["--out", str(threaded), "--threads", "2"]) == 0
+        assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_each_curve_seed_evaluates_and_transforms_once(self, tmp_path, monkeypatch):
+        calls = {"eval_batch": 0, "transform_batch": 0}
+        eval_batch, transform_batch = cpuf.CpufModel.eval_batch, cpuf.transform_batch
+
+        def counted_eval_batch(*args, **kwargs):
+            calls["eval_batch"] += 1
+            return eval_batch(*args, **kwargs)
+
+        def counted_transform_batch(*args, **kwargs):
+            calls["transform_batch"] += 1
+            return transform_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cpuf.CpufModel, "eval_batch", counted_eval_batch)
+        for module in (cpuf, adversary, cli):
+            monkeypatch.setattr(module, "transform_batch", counted_transform_batch)
+        out = tmp_path / "c.csv"
+        assert run(["attack-curve", "--seed", "25", "--n", "10", "--k", "1",
+                    "--q-grid", "0,80", "--curve-seeds", "2", "--test-size", "400",
+                    "--epochs", "5", "--restarts", "1", "--out", str(out)]) == 0
+        assert calls == {"eval_batch": 2, "transform_batch": 2}

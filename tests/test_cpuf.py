@@ -83,6 +83,22 @@ class TestEval:
         for i, c in enumerate(ch):
             assert np.array_equal(batch[i], model.eval(c))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_from_held_features_is_identical(self, k):
+        model = cpuf.CpufModel.xor_arbiter(32, k, 3, 500 + k)
+        ch = cpuf.random_challenges(32, 2000, derive_rng(29, k))
+        direct = model.eval_batch(ch)
+        held = model.eval_batch(ch, features=cpuf.transform_batch(ch))
+        assert held.dtype == direct.dtype and held.shape == direct.shape
+        assert (hashlib.sha256(held.tobytes()).hexdigest()
+                == hashlib.sha256(direct.tobytes()).hexdigest())
+
+    def test_ideal_batch_refuses_features(self):
+        model = cpuf.CpufModel.ideal(16, 4, 0.5, 7)
+        ch = cpuf.random_challenges(16, 10, derive_rng(30))
+        with pytest.raises(ValueError):
+            model.eval_batch(ch, features=cpuf.transform_batch(ch))
+
 
 class TestStatistics:
     def test_xor_arbiter_ensemble_bias(self):
