@@ -41,6 +41,26 @@ class CrpDatabase:
         return len(self.challenges)
 
 
+# flat blocks per sampler chunk: a chunk's uniforms, indices and probabilities stay in cache
+_CHUNK = 1 << 15
+
+
+def _chunks(n: int):
+    """(lo, hi) bounds of the ``_CHUNK``-sized pieces covering n flat items, in order."""
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+def uniform_at_least(p: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """``rng.random(shape) >= p`` as bools, drawn chunk by chunk in the same stream order."""
+    flags = np.empty(shape, dtype=bool)
+    flat = flags.reshape(-1)
+    u = np.empty(min(flat.size, _CHUNK))
+    for lo, hi in _chunks(flat.size):
+        rng.random(out=u[:hi - lo])
+        np.greater_equal(u[:hi - lo], p, out=flat[lo:hi])
+    return flags
+
+
 class SplitAttack:
     """Stagewise block extraction for one (scheme, bias, prior) configuration.
 
@@ -150,34 +170,49 @@ class SplitAttack:
         """Stagewise guesses of the blocks ``code``: outcome 1 when u < P(1).
 
         Each stage array is read raveled at ``prefix * width + code``, width
-        being its size per prefix. Returns (guessed value ints as intp, guessed
-        theta as bool with a basis stage, else uniform int64 draws).
+        being its size per prefix. Every stage walks the flat blocks in
+        ``_CHUNK``-sized pieces and finishes before the next one starts, so
+        the uniforms come off the stream in the same order as one whole-array
+        draw per stage. Returns (guessed value ints as intp, guessed theta as
+        bool with a basis stage, else uniform int64 draws).
         """
-        u = np.empty(code.shape)
-        hit = np.empty(code.shape, dtype=bool)
-        prefix = np.zeros(code.shape, dtype=np.intp)
-        at = np.empty(code.shape, dtype=np.intp)
+        flat = code.reshape(-1)
+        n = flat.size
+        u = np.empty(min(n, _CHUNK))
+        at = np.empty(len(u), dtype=np.intp)
+        p_at = np.empty(len(u))
+        bit = np.empty(len(u), dtype=bool)
+        prefix = np.zeros(n, dtype=np.intp)
 
-        def draw(p):
-            rng.random(out=u)
-            np.multiply(prefix, p[0].size, out=at)
-            np.add(at, code, out=at)
-            return np.less(u, p.ravel().take(at), out=hit)
+        def draw(p, lo, hi, out):
+            k = hi - lo
+            rng.random(out=u[:k])
+            np.multiply(prefix[lo:hi], p[0].size, out=at[:k])
+            np.add(at[:k], flat[lo:hi], out=at[:k])
+            p.ravel().take(at[:k], out=p_at[:k])
+            np.less(u[:k], p_at[:k], out=out)
 
         for p in value_p:
-            bit = draw(p)
-            prefix <<= 1
-            prefix |= bit
+            for lo, hi in _chunks(n):
+                draw(p, lo, hi, bit[:hi - lo])
+                prefix[lo:hi] <<= 1
+                prefix[lo:hi] |= bit[:hi - lo]
         if basis_p is None:
-            return prefix, rng.integers(0, self.scheme.bases_used, size=code.shape)
-        return prefix, draw(basis_p)
+            theta = rng.integers(0, self.scheme.bases_used, size=code.shape)
+        else:
+            theta = np.empty(n, dtype=bool)
+            for lo, hi in _chunks(n):
+                draw(basis_p, lo, hi, theta[lo:hi])
+            theta = theta.reshape(code.shape)
+        return prefix.reshape(code.shape), theta
 
     def guess_blocks_vectorized(self, values: np.ndarray, thetas: np.ndarray,
                                 rng: np.random.Generator):
         """(guessed value ints, guessed thetas) for arrays of true blocks."""
         value_t, basis_t = self.tables
-        code = np.multiply(thetas, self.n_values, dtype=np.intp)
-        code += values
+        # the largest code, 9 thetas of 8 values, is 71
+        code = np.multiply(thetas, self.n_values, dtype=np.uint8, casting="unsafe")
+        np.add(code, values, out=code, casting="unsafe")
         return self._sample(value_t, basis_t, code, rng)
 
     def guess_amplitudes(self, amps: np.ndarray, rng: np.random.Generator):

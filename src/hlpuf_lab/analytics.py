@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import _cached_attack
+from .adversary import _cached_attack, uniform_at_least
 from .hybrid import EncodingScheme
 
 # above this the exact integer binomials overflow double precision
@@ -162,11 +162,13 @@ def mc_extract_rate(scheme: EncodingScheme, m: int, p: float, q: int, trials: in
 
     shape = (trials, q, blocks)
     if scheme.kind == "bb84":
-        values = rng.random(shape) >= p
-        thetas = rng.random(shape) >= p
+        values = uniform_at_least(p, shape, rng)
+        thetas = uniform_at_least(p, shape, rng)
     else:
         if p != 0.5:
             raise ValueError("non-uniform bias is only modeled for conjugate coding")
+        # whole-array calls: bounded-integer draws buffer 32-bit halves per call,
+        # so splitting them into chunks could shift the stream
         values = rng.integers(0, n_values, size=shape)
         thetas = rng.integers(0, n_theta, size=shape)
     value_guess, theta_guess = attack.guess_blocks_vectorized(values, thetas, rng)

@@ -508,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_bound_inputs(config: ExperimentConfig) -> None:
     """Every list entry of a bounds run is checked before any row is computed."""
-    if not config.q_grid or not config.eps_list:
-        raise ValueError("q-grid and eps-list need at least one entry")
+    if not config.m_list or not config.q_grid or not config.eps_list:
+        raise ValueError("m-list, q-grid and eps-list need at least one entry")
     if not 0.5 <= config.p <= 1.0:
         raise ValueError("p must lie in [0.5, 1]")
     if any(m < 1 for m in config.m_list) or any(q < 1 for q in config.q_grid):
@@ -600,6 +600,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if config.trials > 0 and any(m % per_block for m in config.m_list):
             raise ValueError(f"Monte Carlo rows need every m a multiple of {per_block} "
                              f"for {config.scheme}")
+        if config.trials > 0 and config.scheme != "bb84" and config.p != 0.5:
+            raise ValueError(f"Monte Carlo rows for {config.scheme} need p 0.5: biased "
+                             "sources are modeled for conjugate coding (bb84) only")
     if config.command == "protocol":
         if config.rounds < 1:
             raise ValueError("rounds must be at least 1")

@@ -4,7 +4,7 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from hlpuf_lab import qstate
+from hlpuf_lab import adversary, qstate
 from hlpuf_lab.analytics import mc_extract_rate
 from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, SplitAttack,
                                  extraction_stats, intercept_resend, lr_train,
@@ -196,6 +196,84 @@ class TestSamplerMatchesReference:
         assert np.array_equal(res.success_counts, counts)
         assert res.response_success_rate == rate
         assert rng_got.random() == rng_want.random()
+
+
+class TestSamplerChunkBoundaries:
+    """Each stage walks the blocks in chunks and keeps the reference's draws across them."""
+
+    @pytest.fixture(params=[1, 7, 64])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(adversary, "_CHUNK", request.param)
+        return request.param
+
+    @staticmethod
+    def sizes(chunk):
+        # one short of a chunk, exactly one, one over, and a ragged multi-chunk tail
+        return (chunk - 1, chunk, chunk + 1, 3 * chunk + 17)
+
+    @staticmethod
+    def check_table_path(scheme, p, prior, size, dtype=np.int64):
+        attack = SplitAttack(scheme, p=p, prior_bases=prior)
+        rng = derive_rng(135)
+        values = rng.integers(0, attack.n_values, size=size)
+        thetas = rng.integers(0, len(scheme.family()), size=size)
+        rng_got, rng_want = derive_rng(136), derive_rng(136)
+        got = attack.guess_blocks_vectorized(values.astype(dtype), thetas.astype(dtype), rng_got)
+        want = reference_sample(attack, *attack.tables, (thetas, values), rng_want)
+        assert_same_draws(got, want, rng_got, rng_want)
+
+    @staticmethod
+    def check_amplitude_path(scheme, prior, rows):
+        rng = derive_rng(137)
+        dim = scheme.block_dim
+        amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        attack = SplitAttack(scheme, prior_bases=prior)
+        rng_got, rng_want = derive_rng(138), derive_rng(138)
+        got = attack.guess_amplitudes(amps, rng_got)
+        want = reference_sample(attack, *attack.p_one(amps), (np.arange(rows),), rng_want)
+        assert_same_draws(got, want, rng_got, rng_want)
+
+    @staticmethod
+    def check_mc_extract_rate(scheme, m, p, prior, q, trials):
+        rng_got, rng_want = derive_rng(139), derive_rng(139)
+        res = mc_extract_rate(scheme, m, p, q, trials, rng_got, prior_bases=prior)
+        counts, rate = reference_mc_counts(scheme, m, p, q, trials, rng_want, prior)
+        assert np.array_equal(res.success_counts, counts)
+        assert res.response_success_rate == rate
+        assert rng_got.random() == rng_want.random()
+
+    @pytest.mark.parametrize("scheme,p,prior,dtype", [
+        (BB84, 0.5, 2, np.int64), (BB84, 0.7, 1, bool), (BB84, 1.0, 2, np.int64),
+        (MUB4, 0.5, 5, np.int64), (MUB8, 0.5, 9, np.int64),
+    ])
+    def test_table_path(self, chunk, scheme, p, prior, dtype):
+        for size in self.sizes(chunk):
+            self.check_table_path(scheme, p, prior, (size,), dtype)
+        self.check_table_path(scheme, p, prior, (5, chunk + 3, 2), dtype)
+
+    @pytest.mark.parametrize("scheme,prior", [(BB84, None), (MUB4, 5), (MUB8, 9)])
+    def test_amplitude_path(self, chunk, scheme, prior):
+        for rows in self.sizes(chunk):
+            self.check_amplitude_path(scheme, prior, rows)
+
+    @pytest.mark.parametrize("scheme,m,p,prior", [
+        (BB84, 3, 0.5, None), (BB84, 2, 0.7, 1), (MUB4, 4, 0.5, 5), (MUB8, 6, 0.5, 9),
+    ])
+    def test_mc_extract_rate(self, chunk, scheme, m, p, prior):
+        # 13 * 11 responses of 2 or 3 blocks: 286 or 429 blocks, no multiple of any chunk
+        self.check_mc_extract_rate(scheme, m, p, prior, 11, 13)
+
+    @pytest.mark.parametrize("scheme,prior", [(BB84, 2), (MUB4, 4), (MUB8, 9)])
+    def test_default_chunk_spans_several(self, scheme, prior):
+        size = 3 * adversary._CHUNK + 17
+        self.check_table_path(scheme, 0.5, prior, (size,))
+        self.check_amplitude_path(scheme, prior, size)
+
+    def test_default_chunk_mc_extract_rate(self):
+        # 41 * 101 responses of 8 bb84 blocks: 33,128 blocks, past one default chunk
+        assert 41 * 101 * 8 > adversary._CHUNK
+        self.check_mc_extract_rate(BB84, 8, 0.5, None, 101, 41)
 
 
 class TestSplitAttackMub8:

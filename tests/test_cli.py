@@ -218,6 +218,33 @@ class TestConfigHandling:
         assert "reuse cap" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["mub4", "mub8"])
+    def test_bounds_monte_carlo_mub_needs_unbiased_source(self, tmp_path, capsys, monkeypatch,
+                                                          scheme):
+        def never(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before p was checked")
+
+        monkeypatch.setattr(analytics, "mc_extract_rate", never)
+        out = tmp_path / "b.csv"
+        m = "2" if scheme == "mub4" else "3"
+        assert run(["bounds", "--seed", "1", "--trials", "5", "--scheme", scheme, "--p", "0.7",
+                    "--m-list", m, "--q-grid", "10", "--out", str(out)]) == 2
+        assert "bb84" in capsys.readouterr().err
+        assert not out.exists()
+        # without Monte Carlo rows a biased p is a closed-form input
+        assert run(["bounds", "--scheme", scheme, "--p", "0.7", "--m-list", m,
+                    "--q-grid", "10", "--out", str(out)]) == 0
+
+    def test_bounds_needs_an_m(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_list": []}))
+        for flags in (["--m-list="], ["--m-list", ""], ["--config", str(cfg)]):
+            assert run(["bounds", "--seed", "1", *flags, "--q-grid", "10",
+                        "--out", str(out)]) == 2
+            assert "m-list" in capsys.readouterr().err
+            assert not out.exists()
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
