@@ -165,8 +165,6 @@ def mc_extract_rate(scheme: EncodingScheme, m: int, p: float, q: int, trials: in
         values = uniform_at_least(p, shape, rng)
         thetas = uniform_at_least(p, shape, rng)
     else:
-        if p != 0.5:
-            raise ValueError("non-uniform bias is only modeled for conjugate coding")
         # whole-array calls: bounded-integer draws buffer 32-bit halves per call,
         # so splitting them into chunks could shift the stream
         values = rng.integers(0, n_values, size=shape)

@@ -588,6 +588,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     config = ExperimentConfig(**merged)
+    if config.threads < 1:
+        raise ValueError("threads must be at least 1")
     if config.command == "attack-curve":
         _check_curve_inputs(config)
     if config.command in ("bounds", "protocol") and config.scheme not in SCHEMES:
@@ -612,6 +614,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError("k must be at least 1")
         if config.puf == "ideal" and not 0.5 <= config.p <= 1.0:
             raise ValueError("p must lie in [0.5, 1]")
+        if config.puf == "xor" and config.p != 0.5:
+            raise ValueError("p sets the ideal PUF's bias: the xor arbiter PUF takes p 0.5")
         if config.db_size < 1:
             raise ValueError("db-size must be at least 1")
         if config.reuse_cap is not None and config.reuse_cap < 0:

@@ -91,6 +91,11 @@ class XorArbiterPuf:
         return (prod < 0.0).astype(np.uint8)
 
 
+# Rows hashed per block in IdealBiasedPuf.eval: its digest and uniform scratch
+# stays a few hundred KiB whatever the table size.
+_CHUNK_ROWS = 1024
+
+
 @dataclass(frozen=True)
 class IdealBiasedPuf:
     """Keyed-PRF random function with per-bit P(bit = 0) = p, deterministic per (seed, challenge)."""
@@ -99,22 +104,45 @@ class IdealBiasedPuf:
     out_bits: int
     p: float
     seed: int
+    _key: bytes = field(init=False, repr=False, compare=False)
+    _suffixes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         if not 0.5 <= self.p <= 1.0:
             raise ValueError("p must lie in [0.5, 1]")
+        object.__setattr__(self, "_key", int(self.seed).to_bytes(8, "little", signed=False))
+        object.__setattr__(self, "_suffixes",
+                           tuple(j.to_bytes(4, "little") for j in range(self.out_bits)))
 
-    def _uniforms(self, challenge: np.ndarray) -> np.ndarray:
-        packed = np.packbits(challenge.astype(np.uint8)).tobytes()
-        key = int(self.seed).to_bytes(8, "little", signed=False)
-        prefix = hashlib.blake2b(packed, key=key, digest_size=8)
-        hashes = [prefix.copy() for _ in range(self.out_bits)]
-        for j, h in enumerate(hashes):  # bit j hashes packed + j as 4 little-endian bytes
-            h.update(j.to_bytes(4, "little"))
-        return np.frombuffer(b"".join(h.digest() for h in hashes), "<u8") / 2.0**64
+    def _uniforms(self, challenges: np.ndarray) -> np.ndarray:
+        """(..., out_bits) uniforms of (..., n) challenge bits: bit j of a challenge is
+        blake2b(packed challenge + j as 4 little-endian bytes, keyed by the seed) / 2^64."""
+        rows = np.packbits(challenges.reshape(-1, self.n), axis=1)
+        packed, width = rows.tobytes(), rows.shape[1]
+        digests = bytearray()
+        for start in range(0, len(packed), width):
+            prefix = hashlib.blake2b(packed[start:start + width], key=self._key, digest_size=8)
+            for suffix in self._suffixes:
+                h = prefix.copy()
+                h.update(suffix)
+                digests += h.digest()
+        uniforms = np.frombuffer(digests, "<u8") / 2.0**64
+        return uniforms.reshape(challenges.shape[:-1] + (self.out_bits,))
 
-    def eval(self, challenge: np.ndarray) -> np.ndarray:
-        return (self._uniforms(challenge) >= self.p).astype(np.uint8)
+    def eval(self, challenges) -> np.ndarray:
+        """(..., out_bits) response bits of (..., n) challenge bits, hashed in blocks of
+        _CHUNK_ROWS rows so that the scratch is constant in the row count."""
+        c = np.asarray(challenges, dtype=np.uint8)
+        if c.shape[-1:] != (self.n,):
+            raise ValueError(f"challenges must have length {self.n}")
+        rows = c.reshape(-1, self.n)
+        ones = np.empty((len(rows), self.out_bits), dtype=bool)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            np.greater_equal(self._uniforms(rows[start:stop]), self.p, out=ones[start:stop])
+        return ones.view(np.uint8).reshape(c.shape[:-1] + (self.out_bits,))
 
 
 @dataclass(frozen=True)
@@ -169,10 +197,12 @@ class CpufModel:
         """(N, out_bits) responses for an (N, n) array of challenges; ``features``
         is transform_batch(challenges) when the caller holds it (never for an ideal PUF)."""
         ch = np.asarray(challenges, dtype=np.uint8)
+        if ch.ndim != 2 or ch.shape[1] != self.n:
+            raise ValueError(f"challenges must be an (N, {self.n}) array")
         if self.kind == KIND_IDEAL:
             if features is not None:
                 raise ValueError("an ideal PUF has no arbiter features")
-            return np.stack([self.bits[0].eval(row) for row in ch])
+            return self.bits[0].eval(ch)
         if features is None:
             features = transform_batch(ch)
         return np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)

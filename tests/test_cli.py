@@ -49,6 +49,14 @@ class TestConfigHandling:
         session2 = json.loads((out2 / "session.json").read_text())
         assert session2["rounds_completed"] == 2
 
+    def test_selfcheck_threads_checked_before_run(self, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("the battery ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "cmd_selfcheck", never)
+        assert run(["selfcheck", "--seed", "1", "--threads", "-1"]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+
     def test_bad_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
@@ -99,6 +107,7 @@ class TestConfigHandling:
         ["--q-grid", "10,-5"], ["--q-grid", "0,10"], ["--q-grid="], ["--eps-list="],
         ["--eps-list", "0.1,1.5"], ["--m-list", "2,0"], ["--k-list", "4,-1"],
         ["--zeta-list", "0.7"], ["--delta-r", "0.6"], ["--p", "0.4"], ["--trials", "-3"],
+        ["--threads", "0"],
     ])
     def test_bounds_inputs_checked_before_run(self, tmp_path, capsys, flags):
         out = tmp_path / "b.csv"
@@ -129,6 +138,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--restarts", "0"], ["--curve-seeds", "0"], ["--test-size", "0"],
         ["--q-grid", "100,-1"], ["--q-grid="], ["--k", "0"], ["--multi-copies", "1"],
+        ["--threads", "-3"],
     ])
     def test_attack_curve_inputs_checked_before_run(self, tmp_path, capsys, monkeypatch,
                                                     flags):
@@ -144,6 +154,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flags", [
         ["--rounds", "0"], ["--k", "0"], ["--puf", "ideal", "--p", "1.5"], ["--db-size", "0"],
+        ["--puf", "xor", "--p", "0.9"], ["--threads", "0"],
     ])
     def test_protocol_inputs_checked_before_run(self, tmp_path, capsys, monkeypatch, flags):
         def never(*args, **kwargs):
@@ -290,6 +301,18 @@ class TestGoldenOutputs:
             "a0b4ad3bb3ed473ee47a9c62ca1c2804a8f56c7b1e0d058ad5242b87da2eafbd"
         assert sha256(out / "transcript.jsonl") == \
             "132a51e9a095237998c129bf4d8549a8d04d06593d4b817faa44d55d6850a8bb"
+
+    def test_protocol_multi_chunk_ideal_enrollment(self, tmp_path):
+        # 2,500 ideal-CPUF rows span three hashing blocks, and 12-bit challenges
+        # pack into a part-filled second byte
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "37", "--rounds", "200", "--m", "4", "--n", "12",
+                    "--puf", "ideal", "--db-size", "2500", "--adversary", "intercept",
+                    "--out", str(out)]) == 0
+        assert sha256(out / "session.json") == \
+            "0fff9e8a4482d1e0195556ef556346485f8ceae9762e3df85a27899ac398e8da"
+        assert sha256(out / "transcript.jsonl") == \
+            "3a42c5f85b803de802f2f8a9b0be32e4bc27b2d5b0980ffe54cf9523ff656ca3"
 
     def test_protocol_reuse_cap_exhaustion(self, tmp_path):
         # 8 challenges, each accepted reuse_cap + 1 = 3 times: exhausted after 24 rounds
