@@ -7,6 +7,12 @@ adversary), ``selfcheck`` (module invariant battery). Identical (config,
 seed) reruns produce byte-identical CSV/JSON; wall-clock timings go only to
 the opt-in --timing-log side file, which is excluded from that guarantee.
 
+Each setting is declared once, as an ExperimentConfig field whose metadata
+names the commands that take it, its range and choices, and whether it has a
+flag; every subcommand's flags, the config-file checks (keys, JSON types) and
+the range checks are generated from it. _check_joint_rules holds the rules
+that join settings.
+
 Exit codes: 0 success, 1 invariant or run-time failure, 2 configuration error
 (every configuration is checked before a run starts).
 """
@@ -18,7 +24,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,40 +48,59 @@ TIMING_COLUMNS = CURVE_COLUMNS + ",runtime_ms"
 _HASH_EXCLUDED = {"out", "timing_log", "threads", "command"}
 
 
+# command -> (help, output name when --out is not given)
+_COMMANDS = {"attack-curve": ("forgery accuracy vs training CRPs", "attack_curve.csv"),
+             "bounds": ("closed-form bound tables", "bounds.csv"),
+             "protocol": ("authentication session with a channel adversary", "protocol_out"),
+             "selfcheck": ("run the module invariant battery", "-")}
+_ALL = tuple(_COMMANDS)
+_CURVE, _BOUNDS, _PROTOCOL = ("attack-curve",), ("bounds",), ("protocol",)
+
+
+def _setting(default, commands, *, lo=None, hi=None, choices=None, flag=True, help=None):
+    """A field with the commands that take it, its range [lo, hi] (each entry of a
+    list), its choices, and whether it has a flag or is a config-file key only."""
+    return field(default=default, metadata={"commands": commands, "lo": lo, "hi": hi,
+                                            "choices": choices, "flag": flag, "help": help})
+
+
 @dataclass
 class ExperimentConfig:
     """Serializable experiment description; the hash covers result-defining fields."""
 
     command: str
-    seed: int = 0
-    n: int = 32
-    k: int = 2
-    m: int = 1
-    scheme: str = "bb84"
-    p: float = 0.5
-    q_grid: tuple = (500, 1000, 2000, 5000, 10000, 20000, 50000)
-    curve_seeds: int = 5
-    multi_copies: int = 6
-    test_size: int = 10000
-    trials: int = 0
-    rounds: int = 100
-    reuse_cap: int | None = None
-    adversary: str = "identity"
-    puf: str = "xor"
-    db_size: int = 256
-    eps_list: tuple = (0.0, 0.1, 0.2)
-    m_list: tuple = (1, 2, 4, 8)
-    k_list: tuple = (0, 1, 4, 16)
-    zeta_list: tuple = (0.0, 0.01, 0.1, 0.25)
-    delta_r: float = 0.0
-    epochs: int = 200
-    batch_size: int = 256
-    restarts: int = 5
-    stop_validation: float = 0.99
-    patience: int = 25
-    out: str | None = None  # None: the command's default name
-    timing_log: str | None = None
-    threads: int = 1
+    seed: int = _setting(0, _ALL, lo=0)
+    n: int = _setting(32, _CURVE + _PROTOCOL, lo=1)
+    k: int = _setting(2, _CURVE + _PROTOCOL, lo=1)
+    m: int = _setting(1, _PROTOCOL)
+    scheme: str = _setting("bb84", _BOUNDS + _PROTOCOL, choices=tuple(sorted(SCHEMES)))
+    p: float = _setting(0.5, _BOUNDS + _PROTOCOL, lo=0.5, hi=1.0)
+    q_grid: tuple = _setting((500, 1000, 2000, 5000, 10000, 20000, 50000),
+                             _CURVE + _BOUNDS, lo=0)
+    curve_seeds: int = _setting(5, _CURVE, lo=1)
+    multi_copies: int = _setting(6, _CURVE, lo=2)
+    test_size: int = _setting(10000, _CURVE, lo=1)
+    trials: int = _setting(0, _BOUNDS, lo=0,
+                           help="when > 0, add seeded Monte Carlo p_extract_mc rows")
+    rounds: int = _setting(100, _PROTOCOL, lo=1)
+    reuse_cap: int | None = _setting(None, _PROTOCOL, lo=0)
+    adversary: str = _setting("identity", _PROTOCOL,
+                              choices=("identity", "passive", "intercept"))
+    puf: str = _setting("xor", _PROTOCOL, choices=("xor", "ideal"))
+    db_size: int = _setting(256, _PROTOCOL, lo=1)
+    eps_list: tuple = _setting((0.0, 0.1, 0.2), _BOUNDS, lo=0.0, hi=1.0)
+    m_list: tuple = _setting((1, 2, 4, 8), _BOUNDS, lo=1)
+    k_list: tuple = _setting((0, 1, 4, 16), _BOUNDS, lo=0)
+    zeta_list: tuple = _setting((0.0, 0.01, 0.1, 0.25), _BOUNDS, lo=0.0, hi=0.5)
+    delta_r: float = _setting(0.0, _BOUNDS, lo=0.0, hi=0.5)
+    epochs: int = _setting(200, _CURVE, lo=1)
+    batch_size: int = _setting(256, _CURVE, lo=1, flag=False)
+    restarts: int = _setting(5, _CURVE, lo=1)
+    stop_validation: float = _setting(0.99, _CURVE, lo=0.0, hi=1.0, flag=False)
+    patience: int = _setting(25, _CURVE, lo=1, flag=False)
+    out: str | None = _setting(None, _ALL)  # None: the command's default name
+    timing_log: str | None = _setting(None, _CURVE)
+    threads: int = _setting(1, _ALL, lo=1)
 
     def config_hash(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if k not in _HASH_EXCLUDED}
@@ -305,10 +330,8 @@ def _build_protocol_parts(config: ExperimentConfig):
         adversary = IdentityAdversary()
     elif config.adversary == "passive":
         adversary = PassiveObserver(adv_rng)
-    elif config.adversary == "intercept":
-        adversary = InterceptResendAdversary(adv_rng)
     else:
-        raise ValueError(f"unknown adversary {config.adversary!r}")
+        adversary = InterceptResendAdversary(adv_rng)
     return server, client, adversary
 
 
@@ -436,105 +459,42 @@ def cmd_selfcheck(config: ExperimentConfig) -> int:
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x != "")
+def _settings(command: str) -> dict:
+    """The command's fields by name, in declaration order."""
+    return {f.name: f for f in fields(ExperimentConfig)
+            if command in f.metadata.get("commands", ())}
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x != "")
+def _kinds(f) -> tuple:
+    """A field's value types; a list field's entry type is its default's."""
+    return (type(f.default[0]),) if f.type is tuple else typing.get_args(f.type) or (f.type,)
+
+
+def _flag_type(f):
+    kind = next(k for k in _kinds(f) if k is not type(None))
+    if f.type is not tuple:
+        return kind
+
+    def entries(text: str) -> tuple:
+        return tuple(kind(x) for x in text.split(",") if x != "")
+    return entries
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hlpuf-lab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        # --seed is mandatory for experiment commands; enforced after config
-        # merging so a config file may supply it
-        p.add_argument("--seed", type=int, default=None)
+    for command, (help_text, _out) in _COMMANDS.items():
+        # no abbreviations: a stale or short flag (--m, --db) would silently change the run
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; explicit flags override it")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None)
-
-    # no abbreviations: a stale or short flag (--m, --db) would silently change the run
-    p = sub.add_parser("attack-curve", help="forgery accuracy vs training CRPs",
-                       allow_abbrev=False)
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q-grid", type=_int_list, default=None, dest="q_grid")
-    p.add_argument("--curve-seeds", type=int, default=None, dest="curve_seeds")
-    p.add_argument("--multi-copies", type=int, default=None, dest="multi_copies")
-    p.add_argument("--test-size", type=int, default=None, dest="test_size")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--timing-log", type=str, default=None, dest="timing_log")
-
-    p = sub.add_parser("bounds", help="closed-form bound tables", allow_abbrev=False)
-    common(p)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--m-list", type=_int_list, default=None, dest="m_list")
-    p.add_argument("--q-grid", type=_int_list, default=None, dest="q_grid")
-    p.add_argument("--eps-list", type=_float_list, default=None, dest="eps_list")
-    p.add_argument("--k-list", type=_int_list, default=None, dest="k_list")
-    p.add_argument("--zeta-list", type=_float_list, default=None, dest="zeta_list")
-    p.add_argument("--delta-r", type=float, default=None, dest="delta_r")
-    p.add_argument("--trials", type=int, default=None,
-                   help="when > 0, add seeded Monte Carlo p_extract_mc rows")
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default=None)
-
-    p = sub.add_parser("protocol", help="authentication session with a channel adversary",
-                       allow_abbrev=False)
-    common(p)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default=None)
-    p.add_argument("--puf", choices=("xor", "ideal"), default=None)
-    p.add_argument("--db-size", type=int, default=None, dest="db_size")
-    p.add_argument("--reuse-cap", type=int, default=None, dest="reuse_cap")
-    p.add_argument("--adversary", choices=("identity", "passive", "intercept"),
-                   default=None)
-
-    p = sub.add_parser("selfcheck", help="run the module invariant battery",
-                       allow_abbrev=False)
-    common(p)
+        # every flag defaults to None, so a config file may supply it (--seed included)
+        for f in _settings(command).values():
+            if f.metadata["flag"]:
+                p.add_argument("--" + f.name.replace("_", "-"), type=_flag_type(f),
+                               choices=f.metadata["choices"], help=f.metadata["help"])
     return parser
-
-
-def _check_bound_inputs(config: ExperimentConfig) -> None:
-    """Every list entry of a bounds run is checked before any row is computed."""
-    if not config.m_list or not config.q_grid or not config.eps_list:
-        raise ValueError("m-list, q-grid and eps-list need at least one entry")
-    if not 0.5 <= config.p <= 1.0:
-        raise ValueError("p must lie in [0.5, 1]")
-    if any(m < 1 for m in config.m_list) or any(q < 1 for q in config.q_grid):
-        raise ValueError("every m and every q must be at least 1")
-    if any(k < 0 for k in config.k_list):
-        raise ValueError("every k must be at least 0")
-    if not all(0.0 <= eps <= 1.0 for eps in config.eps_list):
-        raise ValueError("every eps must lie in [0, 1]")
-    if not all(0.0 <= z <= 0.5 for z in (*config.zeta_list, config.delta_r)):
-        raise ValueError("every zeta and delta_r must lie in [0, 1/2]")
-    if config.trials < 0:
-        raise ValueError("trials must be at least 0")
-
-
-def _check_curve_inputs(config: ExperimentConfig) -> None:
-    """Every attack-curve setting is checked before any cell is trained."""
-    if config.scheme != "bb84" or config.m != 1:
-        raise ValueError("attack curves model one conjugate-coding qubit (scheme bb84, m 1)")
-    for key in ("n", "k", "epochs", "restarts", "batch_size", "curve_seeds", "test_size"):
-        if getattr(config, key) < 1:
-            raise ValueError(f"{key.replace('_', '-')} must be at least 1")
-    if config.multi_copies < 2:
-        raise ValueError("multi-copies must be at least 2")
-    if not config.q_grid or min(config.q_grid) < 0:
-        raise ValueError("q-grid needs at least one entry, and every q must be at least 0")
 
 
 def _json_fits(value, kind) -> bool:
@@ -543,91 +503,82 @@ def _json_fits(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_file_types(base: dict) -> None:
-    """Each config-file value has its field's type; list fields take lists of the default's."""
-    fields = ExperimentConfig.__dataclass_fields__
-    for key, value in base.items():
-        if key not in fields:
-            continue  # reported with the other unknown keys
-        field = fields[key]
-        if field.type is tuple:
-            kind = type(field.default[0])
-            ok = isinstance(value, list) and all(_json_fits(x, kind) for x in value)
-            want = f"a list of {kind.__name__}"
-        else:
-            kinds = typing.get_args(field.type) or (field.type,)
-            ok = any(_json_fits(value, k) for k in kinds)
-            want = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-        if not ok:
-            raise ValueError(f"config value {key!r} must be {want}, not {value!r}")
+def _check_value(f, value) -> None:
+    """The value has the field's type, is one of its choices, and each entry lies in
+    its range."""
+    kinds, listed = _kinds(f), f.type is tuple
+    if listed:
+        ok = isinstance(value, (list, tuple)) and all(_json_fits(x, kinds[0]) for x in value)
+    else:
+        ok = any(_json_fits(value, k) for k in kinds)
+    if not ok:
+        want = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ValueError(f"config value {f.name!r} must be {'a list of ' * listed}{want}, "
+                         f"not {value!r}")
+    meta, name = f.metadata, f.name.replace("_", " ")
+    if meta["choices"] and value not in meta["choices"]:
+        raise ValueError(f"{name} must be one of {list(meta['choices'])}, not {value!r}")
+    lo, hi = meta["lo"], meta["hi"]
+    for x in value if listed else [value]:
+        in_range = x is None or ((lo is None or x >= lo) and (hi is None or x <= hi))
+        if not in_range:  # NaN lies in no range
+            what = f"every {name} entry" if listed else name
+            raise ValueError(f"{what} must be at least {lo}" if hi is None
+                             else f"{what} must lie in [{lo}, {hi}]")
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    base = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise ValueError("config file must hold a JSON object")
-        _check_file_types(base)
-    merged = dict(base)
-    for key, value in vars(args).items():
-        if key == "config" or value is None:
-            continue
-        merged[key] = value
-    merged.setdefault("command", args.command)
-    seeded = "seed" in merged
-    if args.command in ("attack-curve", "protocol") and not seeded:
+def _check_joint_rules(config: ExperimentConfig, seeded: bool) -> None:
+    """The rules that join settings; each setting's own range is checked already."""
+    command = config.command
+    if command in ("attack-curve", "protocol") and not seeded:
         raise ValueError("--seed is required for experiment commands")
-    merged.setdefault("seed", 0)
-    for key in ("q_grid", "eps_list", "m_list", "k_list", "zeta_list"):
-        if key in merged and merged[key] is not None:
-            merged[key] = tuple(merged[key])
-    valid = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(merged) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    config = ExperimentConfig(**merged)
-    if config.threads < 1:
-        raise ValueError("threads must be at least 1")
-    if config.command == "attack-curve":
-        _check_curve_inputs(config)
-    if config.command in ("bounds", "protocol") and config.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
-    if config.command == "bounds":
-        _check_bound_inputs(config)
+    if command == "attack-curve" and not config.q_grid:
+        raise ValueError("q-grid needs at least one entry")
+    if command == "bounds":
+        if not config.m_list or not config.q_grid or not config.eps_list:
+            raise ValueError("m-list, q-grid and eps-list need at least one entry")
+        if min(config.q_grid) < 1:
+            raise ValueError("every q of a bound table must be at least 1")
+        per_block = SCHEMES[config.scheme].qubits_per_block
         if config.trials > 0 and not seeded:
             raise ValueError("--seed is required for Monte Carlo rows (--trials > 0)")
-        per_block = SCHEMES[config.scheme].qubits_per_block
         if config.trials > 0 and any(m % per_block for m in config.m_list):
             raise ValueError(f"Monte Carlo rows need every m a multiple of {per_block} "
                              f"for {config.scheme}")
         if config.trials > 0 and config.scheme != "bb84" and config.p != 0.5:
             raise ValueError(f"Monte Carlo rows for {config.scheme} need p 0.5: biased "
                              "sources are modeled for conjugate coding (bb84) only")
-    if config.command == "protocol":
-        if config.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if config.n < 1:
-            raise ValueError("n must be at least 1")
-        if config.puf == "xor" and config.k < 1:
-            raise ValueError("k must be at least 1")
-        if config.puf == "ideal" and not 0.5 <= config.p <= 1.0:
-            raise ValueError("p must lie in [0.5, 1]")
+    if command == "protocol":
         if config.puf == "xor" and config.p != 0.5:
             raise ValueError("p sets the ideal PUF's bias: the xor arbiter PUF takes p 0.5")
-        if config.db_size < 1:
-            raise ValueError("db-size must be at least 1")
-        if config.reuse_cap is not None and config.reuse_cap < 0:
-            raise ValueError("reuse cap must be at least 0")
         per_block = SCHEMES[config.scheme].qubits_per_block
         if config.m < 1 or config.m % per_block:
             raise ValueError(f"m must be a positive multiple of {per_block} for {config.scheme}")
         if config.adversary == "intercept" and config.scheme != "bb84":
             raise ValueError("the intercept adversary measures single qubits: use scheme bb84")
+
+
+def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    settings = _settings(args.command)
+    base = {}
+    if args.config:
+        with open(args.config) as fh:
+            base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(base) - set(settings)
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    flags = {key: value for key, value in vars(args).items()
+             if key in settings and value is not None}
+    for key, value in [*base.items(), *flags.items()]:
+        _check_value(settings[key], value)
+    merged = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in {**base, **flags}.items()}
+    config = ExperimentConfig(command=args.command, **merged)
+    _check_joint_rules(config, seeded="seed" in merged)
     if config.out is None:
-        config.out = {"attack-curve": "attack_curve.csv", "bounds": "bounds.csv",
-                      "protocol": "protocol_out", "selfcheck": "-"}[config.command]
+        config.out = _COMMANDS[config.command][1]
     return config
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -57,6 +58,61 @@ class TestConfigHandling:
         assert run(["selfcheck", "--seed", "1", "--threads", "-1"]) == 2
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    def test_selfcheck_negative_seed_rejected(self, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("the battery ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "cmd_selfcheck", never)
+        assert run(["selfcheck", "--seed", "-1"]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload", [
+        ("bounds", {"seed": 1, "rounds": -9, "db_size": -3, "n": -2}),
+        ("bounds", {"seed": 1, "timing_log": "t.csv"}),
+        ("bounds", {"seed": 1, "command": "protocol"}),
+        ("protocol", {"seed": 1, "epochs": 3}),
+        ("selfcheck", {"seed": 1, "n": 8}),
+    ])
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys, command, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"unknown config keys for {command}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["puf", "adversary"])
+    def test_protocol_unknown_choice_in_config_rejected(self, tmp_path, capsys, monkeypatch,
+                                                        key):
+        def never(*args, **kwargs):
+            raise AssertionError("the database was enrolled before the inputs were checked")
+
+        monkeypatch.setattr(cli, "random_challenges", never)
+        out = tmp_path / "p"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: "bogus", "n": 8, "db_size": 8,
+                                   "rounds": 3}))
+        assert run(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [{"patience": -4}, {"patience": 0},
+                                         {"stop_validation": 7.0},
+                                         {"stop_validation": -0.1}, {"batch_size": 0}])
+    def test_attack_curve_file_only_settings_checked(self, tmp_path, capsys, monkeypatch,
+                                                     payload):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell was trained before the inputs were checked")
+
+        monkeypatch.setattr(cli, "lr_train", no_training)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "n": 8, "q_grid": [50], "test_size": 50,
+                                   **payload}))
+        out = tmp_path / "c.csv"
+        assert run(["attack-curve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
@@ -107,7 +163,7 @@ class TestConfigHandling:
         ["--q-grid", "10,-5"], ["--q-grid", "0,10"], ["--q-grid="], ["--eps-list="],
         ["--eps-list", "0.1,1.5"], ["--m-list", "2,0"], ["--k-list", "4,-1"],
         ["--zeta-list", "0.7"], ["--delta-r", "0.6"], ["--p", "0.4"], ["--trials", "-3"],
-        ["--threads", "0"],
+        ["--threads", "0"], ["--seed", "-1"],
     ])
     def test_bounds_inputs_checked_before_run(self, tmp_path, capsys, flags):
         out = tmp_path / "b.csv"
@@ -138,7 +194,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--restarts", "0"], ["--curve-seeds", "0"], ["--test-size", "0"],
         ["--q-grid", "100,-1"], ["--q-grid="], ["--k", "0"], ["--multi-copies", "1"],
-        ["--threads", "-3"],
+        ["--threads", "-3"], ["--seed", "-1"],
     ])
     def test_attack_curve_inputs_checked_before_run(self, tmp_path, capsys, monkeypatch,
                                                     flags):
@@ -154,7 +210,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flags", [
         ["--rounds", "0"], ["--k", "0"], ["--puf", "ideal", "--p", "1.5"], ["--db-size", "0"],
-        ["--puf", "xor", "--p", "0.9"], ["--threads", "0"],
+        ["--puf", "xor", "--p", "0.9"], ["--threads", "0"], ["--seed", "-1"],
+        ["--puf", "ideal", "--k", "0"],
     ])
     def test_protocol_inputs_checked_before_run(self, tmp_path, capsys, monkeypatch, flags):
         def never(*args, **kwargs):
@@ -255,6 +312,32 @@ class TestConfigHandling:
                         "--out", str(out)]) == 2
             assert "m-list" in capsys.readouterr().err
             assert not out.exists()
+
+
+class TestCommandSchema:
+    FLAGS = {
+        "attack-curve": "--config --curve-seeds --epochs --k --multi-copies --n --out "
+                        "--q-grid --restarts --seed --test-size --threads --timing-log",
+        "bounds": "--config --delta-r --eps-list --k-list --m-list --out --p --q-grid "
+                  "--scheme --seed --threads --trials --zeta-list",
+        "protocol": "--adversary --config --db-size --k --m --n --out --p --puf "
+                    "--reuse-cap --rounds --scheme --seed --threads",
+        "selfcheck": "--config --out --seed --threads",
+    }
+
+    def test_flag_set_of_each_command(self):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        subparsers = sub.choices
+        assert sorted(subparsers) == sorted(self.FLAGS)
+        for command, flags in self.FLAGS.items():
+            options = {o for a in subparsers[command]._actions for o in a.option_strings}
+            assert sorted(options - {"-h", "--help"}) == flags.split(), command
+            assert not subparsers[command].allow_abbrev
+
+    def test_default_config_hash_of_each_command(self):
+        for command in self.FLAGS:
+            assert cli.ExperimentConfig(command=command).config_hash() == "47bdbcbe9cc0c00f"
 
 
 def sha256(path):
