@@ -19,8 +19,8 @@ import numpy as np
 
 from . import qstate
 from .cpuf import CpufModel, random_challenges, transform_batch
-from .hybrid import (ABORT, SCHEMES, EncodingScheme, HpufDevice, HlpufDevice, encode_half,
-                     int_to_bits, server_verify)
+from .hybrid import (ABORT, SCHEMES, EncodingScheme, HpufDevice, HlpufDevice, block_indices,
+                     encode_half, int_to_bits, server_verify)
 
 @dataclass
 class CrpDatabase:
@@ -243,15 +243,8 @@ def _int_bits(values: np.ndarray, width: int) -> np.ndarray:
 
 def wire_amplitudes(bits, scheme: EncodingScheme) -> np.ndarray:
     """(N, blocks, dim) amplitudes of the block states ``encode_half`` sends for N bit rows."""
-    bits = np.asarray(bits, dtype=np.int64)
-    step = scheme.bits_per_block
-    if bits.ndim != 2 or bits.shape[1] % step != 0:
-        raise ValueError("bit rows are not a whole number of blocks")
-    blocks = bits.reshape(len(bits), bits.shape[1] // step, step)
-    codes = blocks @ (1 << np.arange(step - 1, -1, -1))
-    # value bits come first, so the basis bits are the code's low basis_bits bits
-    value, theta = np.divmod(codes, scheme.bases_used)
-    return scheme.family().columns[theta, value]
+    blocks = block_indices(bits, scheme)
+    return scheme.family().columns[blocks[..., 1], blocks[..., 0]]
 
 
 def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,

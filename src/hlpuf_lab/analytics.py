@@ -122,18 +122,16 @@ def minentropy_bound(m: int, zeta: float, delta_r: float) -> float:
 
 @dataclass
 class McExtractResult:
-    """Monte Carlo full-extraction estimate plus the measured rates it is judged by."""
+    """Monte Carlo full-extraction counts plus the measured rate the bound is judged at."""
 
-    rate: float                # fraction of trials with >= ceil((1-eps) q) full responses
-    eps: float
     q: int
     m: int
     trials: int
     success_counts: np.ndarray  # per-trial count of fully extracted responses
     response_success_rate: float
-    per_bit_rate: float         # geometric per-bit rate, response_rate^(1/(2m))
 
     def rate_at(self, eps: float) -> float:
+        """Fraction of trials with >= ceil((1-eps) q) fully extracted responses."""
         threshold = extraction_threshold(self.q, eps)
         return float(np.mean(self.success_counts >= threshold))
 
@@ -143,7 +141,7 @@ class McExtractResult:
 
 
 def mc_extract_rate(scheme: EncodingScheme, m: int, p: float, q: int, trials: int,
-                    rng: np.random.Generator, eps: float = 0.0,
+                    rng: np.random.Generator,
                     prior_bases: int | None = None) -> McExtractResult:
     """Simulate split-attack extraction of whole halves and count full successes.
 
@@ -177,12 +175,5 @@ def mc_extract_rate(scheme: EncodingScheme, m: int, p: float, q: int, trials: in
     response_ok = block_ok[..., 0].copy()
     for b in range(1, blocks):
         response_ok &= block_ok[..., b]
-    counts = response_ok.sum(axis=1)
-    response_rate = float(np.mean(response_ok))
-    bits_per_half = 2 * m if scheme.kind == "bb84" else blocks * scheme.bits_per_block
-    per_bit = response_rate ** (1.0 / bits_per_half) if response_rate > 0 else 0.0
-    threshold = extraction_threshold(q, eps)
-    rate = float(np.mean(counts >= threshold))
-    return McExtractResult(rate=rate, eps=eps, q=q, m=m, trials=trials,
-                           success_counts=counts, response_success_rate=response_rate,
-                           per_bit_rate=per_bit)
+    return McExtractResult(q=q, m=m, trials=trials, success_counts=response_ok.sum(axis=1),
+                           response_success_rate=float(np.mean(response_ok)))

@@ -36,7 +36,7 @@ from .cpuf import CpufModel, random_challenges, transform_batch
 from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, decode_block, encode_half,
                      int_to_bits, server_verify)
 from .protocol import (IdentityAdversary, InterceptResendAdversary, PassiveObserver,
-                       ServerState, ClientState, run_session, write_transcript)
+                       ServerState, run_session, write_transcript)
 from .seeding import derive_rng
 
 SCHEMA_VERSION = 1
@@ -48,11 +48,11 @@ TIMING_COLUMNS = CURVE_COLUMNS + ",runtime_ms"
 _HASH_EXCLUDED = {"out", "timing_log", "threads", "command"}
 
 
-# command -> (help, output name when --out is not given)
+# command -> (help, output name when --out is not given; selfcheck only prints)
 _COMMANDS = {"attack-curve": ("forgery accuracy vs training CRPs", "attack_curve.csv"),
              "bounds": ("closed-form bound tables", "bounds.csv"),
              "protocol": ("authentication session with a channel adversary", "protocol_out"),
-             "selfcheck": ("run the module invariant battery", "-")}
+             "selfcheck": ("run the module invariant battery", None)}
 _ALL = tuple(_COMMANDS)
 _CURVE, _BOUNDS, _PROTOCOL = ("attack-curve",), ("bounds",), ("protocol",)
 
@@ -98,7 +98,7 @@ class ExperimentConfig:
     restarts: int = _setting(5, _CURVE, lo=1)
     stop_validation: float = _setting(0.99, _CURVE, lo=0.0, hi=1.0, flag=False)
     patience: int = _setting(25, _CURVE, lo=1, flag=False)
-    out: str | None = _setting(None, _ALL)  # None: the command's default name
+    out: str | None = _setting(None, _CURVE + _BOUNDS + _PROTOCOL)  # None: the default name
     timing_log: str | None = _setting(None, _CURVE)
     threads: int = _setting(1, _ALL, lo=1)
 
@@ -324,7 +324,7 @@ def _build_protocol_parts(config: ExperimentConfig):
     db = CrpDatabase(challenges, responses)
     server = ServerState(db, scheme, derive_rng(config.seed, 11),
                          reuse_cap=config.reuse_cap)
-    client = ClientState(HlpufDevice(HpufDevice(cpuf, scheme)))
+    device = HlpufDevice(HpufDevice(cpuf, scheme))
     adv_rng = derive_rng(config.seed, 12)
     if config.adversary == "identity":
         adversary = IdentityAdversary()
@@ -332,12 +332,12 @@ def _build_protocol_parts(config: ExperimentConfig):
         adversary = PassiveObserver(adv_rng)
     else:
         adversary = InterceptResendAdversary(adv_rng)
-    return server, client, adversary
+    return server, device, adversary
 
 
 def cmd_protocol(config: ExperimentConfig) -> int:
-    server, client, adversary = _build_protocol_parts(config)
-    report = run_session(server, client, adversary, config.rounds,
+    server, device, adversary = _build_protocol_parts(config)
+    report = run_session(server, device, adversary, config.rounds,
                          derive_rng(config.seed, 13))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,16 +16,9 @@ KIND_XOR = "xor_arbiter"
 KIND_IDEAL = "ideal"
 
 
-def feature_transform(challenge) -> np.ndarray:
-    """Arbiter parity features: Phi_i = prod_{j>=i}(1-2c_j), with constant Phi_{n+1}=1."""
-    c = np.asarray(challenge)
-    if c.ndim != 1 or not np.all((c == 0) | (c == 1)):
-        raise ValueError("challenge must be a vector of bits")
-    return transform_batch(c[None, :])[0]
-
-
 def transform_batch(challenges: np.ndarray) -> np.ndarray:
-    """Vectorized feature_transform for an (N, n) array of challenge bits."""
+    """Arbiter parity features of an (N, n) array of challenge bits: row i holds
+    Phi_j = prod_{l>=j}(1-2c_l) for j = 1..n, then the constant Phi_{n+1} = 1."""
     c = np.asarray(challenges)
     n = c.shape[1]
     signs = 1.0 - 2.0 * c.astype(np.float64)
@@ -172,16 +165,6 @@ class CpufModel:
         puf = IdealBiasedPuf(n=n, out_bits=out_bits, p=p, seed=seed)
         return cls(kind=KIND_IDEAL, n=n, out_bits=out_bits, seed=seed, p=p, bits=(puf,))
 
-    @classmethod
-    def from_chains(cls, weight_arrays, seed: int = 0) -> "CpufModel":
-        """Explicit-weight construction: weight_arrays[bit][chain] -> weight vector."""
-        pufs = []
-        for per_bit in weight_arrays:
-            pufs.append(XorArbiterPuf(tuple(ArbiterChain(w) for w in per_bit)))
-        n = pufs[0].n
-        k = pufs[0].k
-        return cls(kind=KIND_XOR, n=n, out_bits=len(pufs), seed=seed, k=k, bits=tuple(pufs))
-
     def eval(self, challenge) -> np.ndarray:
         """Response bits for one challenge."""
         c = np.asarray(challenge, dtype=np.uint8)
@@ -206,7 +189,6 @@ class CpufModel:
         if features is None:
             features = transform_batch(ch)
         return np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)
-
 
 
 def random_challenges(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

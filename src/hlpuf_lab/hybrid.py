@@ -17,6 +17,7 @@ never emitted by devices; attacks may still assume the full-family prior.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,14 @@ class EncodingScheme:
     def bases_used(self) -> int:
         return 2 ** self.basis_bits
 
+    @cached_property
+    def _place_values(self) -> np.ndarray:
+        """(bits_per_block, 2) weights: a block's bits @ this = its (value, theta)."""
+        weights = np.zeros((self.bits_per_block, 2), dtype=np.int64)
+        weights[:self.value_bits, 0] = 1 << np.arange(self.value_bits - 1, -1, -1)
+        weights[self.value_bits:, 1] = 1 << np.arange(self.basis_bits - 1, -1, -1)
+        return weights
+
     def family(self) -> qstate.MubFamily:
         if self.kind == "bb84":
             return qstate.bb84_family()
@@ -79,26 +88,19 @@ MUB8 = EncodingScheme("mub8", bits_per_block=6, qubits_per_block=3, block_dim=8,
 SCHEMES = {s.kind: s for s in (BB84, MUB4, MUB8)}
 
 
-def bits_to_int(bits) -> int:
-    """Most-significant-bit-first packing."""
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
 def int_to_bits(value: int, width: int) -> tuple:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def _block_indices(bits, scheme: EncodingScheme) -> list:
-    """(value, theta) of every block of ``bits``, read as one most-significant-first code."""
+def block_indices(bits, scheme: EncodingScheme) -> np.ndarray:
+    """(..., blocks, 2) array of every block's (value, theta) for bits of shape
+    (..., blocks * bits_per_block): a block is its value bits, then its basis bits,
+    each most significant first."""
+    bits = np.asarray(bits, dtype=np.int64)
     step = scheme.bits_per_block
-    if len(bits) % step != 0:
+    if bits.shape[-1] % step != 0:
         raise ValueError("bit count is not a whole number of blocks")
-    codes = np.asarray(bits, dtype=np.int64).reshape(-1, step) @ (1 << np.arange(step - 1, -1, -1))
-    # value bits come first, so the basis bits are the code's low basis_bits bits
-    return [divmod(code, scheme.bases_used) for code in codes.tolist()]
+    return bits.reshape(bits.shape[:-1] + (-1, step)) @ scheme._place_values
 
 
 def decode_block(state: qstate.PureState, theta: int, scheme: EncodingScheme) -> tuple:
@@ -111,11 +113,13 @@ def decode_block(state: qstate.PureState, theta: int, scheme: EncodingScheme) ->
 def encode_half(bits, scheme: EncodingScheme) -> list:
     """Block states of a half's bits: the wire form, one fresh PureState per block."""
     family = scheme.family()
-    return [family.basis_state(theta, value) for value, theta in _block_indices(bits, scheme)]
+    blocks = block_indices(bits, scheme).tolist()
+    return [family.basis_state(theta, value) for value, theta in blocks]
 
 
 class HpufDevice:
-    """Classical PUF plus block encoder; evaluation returns fresh state copies."""
+    """Classical PUF plus its block encoding scheme; ``encode_half`` of a half of
+    its response gives that half's fresh block states."""
 
     def __init__(self, cpuf: CpufModel, scheme: EncodingScheme):
         if cpuf.out_bits % (2 * scheme.bits_per_block) != 0:
@@ -127,16 +131,10 @@ class HpufDevice:
     def half_bit_count(self) -> int:
         return self.cpuf.out_bits // 2
 
-    def hpuf_eval(self, x) -> tuple:
-        """(first-half states, second-half states); one CPUF evaluation."""
-        y = self.cpuf.eval(x)
-        half = self.half_bit_count
-        return encode_half(y[:half], self.scheme), encode_half(y[half:], self.scheme)
-
 
 def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:
     """Measure each received block in the basis named by ``bits``; all values must match."""
-    blocks = _block_indices(bits, scheme)
+    blocks = block_indices(bits, scheme).tolist()
     if len(received) != len(blocks):
         return False
     family = scheme.family()

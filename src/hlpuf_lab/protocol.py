@@ -7,8 +7,10 @@ otherwise the second-half states return through the backward hook and the
 server verifies them by measurement. Accepted rounds mark the challenge
 reusable; any failure retires it permanently.
 
-In-flight states cross each hook exactly once (custody stand-in for
-no-cloning); transcripts record every hook crossing for audit and replay.
+Transcripts record every hook crossing for audit and replay. Each channel
+event carries a ``custody_ok`` flag meant as a stand-in for no-cloning, but
+it only checks that one crossing holds no object twice: nothing yet compares
+crossings across rounds, so a replayed state still reads ``custody_ok: true``.
 """
 
 import json
@@ -84,11 +86,6 @@ class ServerState:
         return sum(p.status == RETIRED for p in self.policy)
 
 
-@dataclass
-class ClientState:
-    device: HlpufDevice
-
-
 class ChannelAdversary:
     """Base channel adversary: identity hooks, no stored knowledge."""
 
@@ -118,11 +115,6 @@ class PassiveObserver(ChannelAdversary):
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.seen = []
-
-    def forward(self, x, states, transcript):
-        self.seen.append(tuple(x.tolist()))
-        return states
 
     def guess_half_bits(self, x, bit_count: int):
         return self.rng.integers(0, 2, size=bit_count, dtype=np.uint8)
@@ -133,11 +125,8 @@ class InterceptResendAdversary(ChannelAdversary):
 
     name = "intercept_resend"
 
-    def __init__(self, rng: np.random.Generator, on_forward: bool = True,
-                 on_backward: bool = True):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.on_forward = on_forward
-        self.on_backward = on_backward
         self.records = {}
 
     def _tap(self, x, states, direction):
@@ -151,10 +140,10 @@ class InterceptResendAdversary(ChannelAdversary):
         return resent
 
     def forward(self, x, states, transcript):
-        return self._tap(x, states, "forward") if self.on_forward else states
+        return self._tap(x, states, "forward")
 
     def backward(self, x, states, transcript):
-        return self._tap(x, states, "backward") if self.on_backward else states
+        return self._tap(x, states, "backward")
 
     def guess_half_bits(self, x, bit_count: int):
         recs = self.records.get((tuple(x.tolist()), "forward"))
@@ -198,7 +187,7 @@ def _custody_check(before, after):
     return len(set(ids)) == len(ids) and len(after) >= 0
 
 
-def run_round(server: ServerState, client: ClientState, adversary: ChannelAdversary,
+def run_round(server: ServerState, device: HlpufDevice, adversary: ChannelAdversary,
               rng: np.random.Generator, round_index: int = 0) -> RoundOutcome:
     """One authentication round; updates the server's reuse policy."""
     idx = server.select_challenge()
@@ -218,7 +207,7 @@ def run_round(server: ServerState, client: ClientState, adversary: ChannelAdvers
     delivered = adversary.forward(x, sent, events)
     log("channel", "forward", adversary.name, len(delivered), _custody_check(sent, delivered))
 
-    reply = client.device.lock_query(x, delivered, rng)
+    reply = device.lock_query(x, delivered, rng)
     if reply is ABORT:
         log("lock", "client", "abort", 0)
         server.record(idx, accepted=False)
@@ -266,7 +255,7 @@ class SessionReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def run_session(server: ServerState, client: ClientState, adversary: ChannelAdversary,
+def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdversary,
                 rounds: int, rng: np.random.Generator) -> SessionReport:
     """Drive repeated rounds; ends early on database exhaustion.
 
@@ -281,7 +270,7 @@ def run_session(server: ServerState, client: ClientState, adversary: ChannelAdve
     accepted = 0
     for r in range(rounds):
         try:
-            outcome = run_round(server, client, adversary, rng, round_index=r)
+            outcome = run_round(server, device, adversary, rng, round_index=r)
         except DatabaseExhausted:
             exhausted = True
             break

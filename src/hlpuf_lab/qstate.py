@@ -54,16 +54,6 @@ class PureState:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.outer())
 
-    def overlap2(self, other: "PureState") -> float:
-        """Squared inner product |<self|other>|^2."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return float(np.abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-    def isclose(self, other: "PureState", atol: float = ATOL) -> bool:
-        """Equality up to global phase."""
-        return self.dim == other.dim and abs(self.overlap2(other) - 1.0) <= atol
-
     def __repr__(self):
         return f"PureState({np.array2string(self.amplitudes, precision=6)})"
 
@@ -159,28 +149,10 @@ class TwoOutcomeMeasurement:
         self.basis = basis
         self.labels = labels
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def projectors(self):
-        """(P_a, P_b) with P_a + P_b = identity."""
-        dim = self.dim
-        pa = np.zeros((dim, dim), dtype=complex)
-        pb = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            v = self.basis[:, i]
-            (pa if self.labels[i] == 0 else pb)[:, :] += np.outer(v, v.conj())
-        return pa, pb
-
     def probability_a(self, state: PureState) -> float:
         """Probability of outcome 0 (hypothesis a) on a pure state."""
         amps = self.basis.conj().T @ state.amplitudes
         return float(np.sum(np.abs(amps[self.labels == 0]) ** 2))
-
-    def sample(self, state: PureState, rng: np.random.Generator) -> int:
-        """Draw outcome 0 (a) or 1 (b) for one fresh copy of ``state``."""
-        return 0 if rng.random() < self.probability_a(state) else 1
 
 
 def helstrom_measurement(a: DensityMatrix, b: DensityMatrix,
@@ -188,7 +160,7 @@ def helstrom_measurement(a: DensityMatrix, b: DensityMatrix,
     """Projectors onto the nonnegative/negative eigenspaces of prior_a*a - (1-prior_a)*b.
 
     Zero eigenvalues count toward hypothesis a (deterministic tie-break; the
-    success probability is unaffected). Sampling it attains helstrom_success.
+    success probability is unaffected). Measuring with it attains helstrom_success.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")

@@ -179,8 +179,8 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     ch = random_challenges(16, 100, derive_rng(9107))
     db = CrpDatabase(ch, model.eval_batch(ch))
     server = protocol.ServerState(db, BB84, derive_rng(9108))
-    client = protocol.ClientState(HlpufDevice(HpufDevice(model, BB84)))
-    honest = protocol.run_session(server, client, protocol.IdentityAdversary(),
+    device = HlpufDevice(HpufDevice(model, BB84))
+    honest = protocol.run_session(server, device, protocol.IdentityAdversary(),
                                   100, derive_rng(9109))
     assert honest.rounds_completed == 100
     assert honest.accepted == 100
@@ -191,9 +191,9 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     ch2 = random_challenges(16, rounds, derive_rng(9111))
     db2 = CrpDatabase(ch2, model2.eval_batch(ch2))
     server2 = protocol.ServerState(db2, BB84, derive_rng(9112))
-    client2 = protocol.ClientState(HlpufDevice(HpufDevice(model2, BB84)))
+    device2 = HlpufDevice(HpufDevice(model2, BB84))
     adv = protocol.InterceptResendAdversary(derive_rng(9113))
-    session = protocol.run_session(server2, client2, adv, rounds, derive_rng(9114))
+    session = protocol.run_session(server2, device2, adv, rounds, derive_rng(9114))
     expected = 0.75 ** (2 * m)
     sigma = np.sqrt(expected * (1 - expected) / session.rounds_completed)
     assert abs(session.acceptance_rate - expected) <= 3 * sigma
@@ -215,9 +215,9 @@ def test_criterion_7_reuse_audit():
         ch = random_challenges(16, 24, derive_rng(9201, m))
         db = CrpDatabase(ch, model.eval_batch(ch))
         server = protocol.ServerState(db, BB84, derive_rng(9202, m), reuse_cap=16)
-        client = protocol.ClientState(HlpufDevice(HpufDevice(model, BB84)))
+        device = HlpufDevice(HpufDevice(model, BB84))
         adv = protocol.PassiveObserver(derive_rng(9203, m))
-        session = protocol.run_session(server, client, adv, 300, derive_rng(9204, m))
+        session = protocol.run_session(server, device, adv, 300, derive_rng(9204, m))
         assert session.audit_total > 0
         reuses = [d["reuses"] for d in session.audit_details]
         assert max(reuses) <= 16

@@ -138,17 +138,16 @@ class TestMinEntropyBound:
 class TestMcExtractRate:
     def test_m1_rate_is_per_bit_squared(self):
         rng = derive_rng(91)
-        res = mc_extract_rate(BB84, 1, 0.5, 1, 40000, rng, eps=0.0)
+        res = mc_extract_rate(BB84, 1, 0.5, 1, 40000, rng)
         helstrom = 0.5 + 0.5 / np.sqrt(2.0)
         expected = helstrom ** 2
         sigma = np.sqrt(expected * (1 - expected) / res.trials)
         assert abs(res.response_success_rate - expected) <= 3 * sigma
-        assert res.per_bit_rate == pytest.approx(np.sqrt(res.response_success_rate))
 
     def test_degenerate_bias_extracts_everything(self):
         rng = derive_rng(92)
-        res = mc_extract_rate(BB84, 2, 1.0, 5, 200, rng, eps=0.0)
-        assert res.rate == 1.0 and res.response_success_rate == 1.0
+        res = mc_extract_rate(BB84, 2, 1.0, 5, 200, rng)
+        assert res.rate_at(0.0) == 1.0 and res.response_success_rate == 1.0
 
     def test_rate_decays_geometrically_in_m(self):
         # log response rate should be linear in m with slope 2 log(per-bit rate)
@@ -156,7 +155,7 @@ class TestMcExtractRate:
         ms = [1, 2, 3, 4]
         rates, weights = [], []
         for m in ms:
-            res = mc_extract_rate(BB84, m, 0.5, 1, 60000, rng, eps=0.0)
+            res = mc_extract_rate(BB84, m, 0.5, 1, 60000, rng)
             rates.append(res.response_success_rate)
             weights.append(res.trials)
         logs = np.log(rates)
@@ -170,15 +169,15 @@ class TestMcExtractRate:
 
     def test_agrees_with_bound_at_measured_rate(self):
         rng = derive_rng(94)
-        res = mc_extract_rate(BB84, 2, 0.5, 10, 4000, rng, eps=0.2)
+        res = mc_extract_rate(BB84, 2, 0.5, 10, 4000, rng)
         bound = res.bound_at(0.2)
         sigma = np.sqrt(max(bound * (1 - bound), 1e-12) / res.trials)
-        assert abs(res.rate - bound) <= 3 * sigma + 0.01
+        assert abs(res.rate_at(0.2) - bound) <= 3 * sigma + 0.01
 
     def test_rate_at_eps_consistency(self):
         rng = derive_rng(95)
-        res = mc_extract_rate(BB84, 1, 0.5, 10, 500, rng, eps=0.0)
-        assert res.rate == res.rate_at(0.0)
+        res = mc_extract_rate(BB84, 1, 0.5, 10, 500, rng)
+        assert res.rate_at(0.0) == float(np.mean(res.success_counts == 10))
         assert res.rate_at(1.0) == 1.0
 
     @pytest.mark.parametrize("m,q,trials", [(0, 10, 10), (1, 0, 10), (1, 10, 0)])

@@ -72,12 +72,15 @@ class TestConfigHandling:
         ("bounds", {"seed": 1, "command": "protocol"}),
         ("protocol", {"seed": 1, "epochs": 3}),
         ("selfcheck", {"seed": 1, "n": 8}),
+        ("selfcheck", {"seed": 1, "out": "x"}),
     ])
     def test_config_key_of_another_command_rejected(self, tmp_path, capsys, command, payload):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         out = tmp_path / "o"
-        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        # selfcheck only prints, so it takes no --out
+        out_flag = [] if command == "selfcheck" else ["--out", str(out)]
+        assert run([command, "--config", str(cfg), *out_flag]) == 2
         assert f"unknown config keys for {command}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -132,6 +135,7 @@ class TestConfigHandling:
         assert run(["protocol", "--seed", "1", "--db", "5",
                     "--out", str(tmp_path / "p")]) == 2
         assert run(["selfcheck", "--se", "1"]) == 2
+        assert run(["selfcheck", "--out", "x"]) == 2
         assert not (tmp_path / "b.csv").exists() and not (tmp_path / "p").exists()
 
     def test_protocol_m_must_fill_whole_blocks(self, tmp_path, capsys):
@@ -322,7 +326,7 @@ class TestCommandSchema:
                   "--scheme --seed --threads --trials --zeta-list",
         "protocol": "--adversary --config --db-size --k --m --n --out --p --puf "
                     "--reuse-cap --rounds --scheme --seed --threads",
-        "selfcheck": "--config --out --seed --threads",
+        "selfcheck": "--config --seed --threads",
     }
 
     def test_flag_set_of_each_command(self):

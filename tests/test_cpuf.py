@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,17 @@ def per_bit_hash_bits(challenges, out_bits, p, seed):
     return bits
 
 
+def features(challenge):
+    """transform_batch of a one-row array."""
+    return cpuf.transform_batch(np.asarray([challenge]))[0]
+
+
 class TestFeatureTransform:
     def test_all_zero_challenge(self):
-        assert np.array_equal(cpuf.feature_transform([0, 0, 0, 0]), [1, 1, 1, 1, 1])
+        assert np.array_equal(features([0, 0, 0, 0]), [1, 1, 1, 1, 1])
 
     def test_leading_one(self):
-        assert np.array_equal(cpuf.feature_transform([1, 0, 0, 0]), [-1, 1, 1, 1, 1])
+        assert np.array_equal(features([1, 0, 0, 0]), [-1, 1, 1, 1, 1])
 
     def test_last_bit_flip_negates_all_but_constant(self):
         rng = derive_rng(20)
@@ -34,17 +40,13 @@ class TestFeatureTransform:
             c = rng.integers(0, 2, size=8)
             flipped = c.copy()
             flipped[-1] ^= 1
-            a, b = cpuf.feature_transform(c), cpuf.feature_transform(flipped)
+            a, b = features(c), features(flipped)
             assert np.array_equal(a[:-1], -b[:-1])
             assert a[-1] == b[-1] == 1
 
     def test_entries_are_signs(self):
-        phi = cpuf.feature_transform(derive_rng(21).integers(0, 2, size=16))
+        phi = features(derive_rng(21).integers(0, 2, size=16))
         assert set(np.unique(phi)) <= {-1.0, 1.0}
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            cpuf.feature_transform([0, 2, 1])
 
 
 class TestEval:
@@ -64,7 +66,8 @@ class TestEval:
         # weights (0,...,0,1): inner product is always 1 > 0, so the bit is 0
         weights = np.zeros(9)
         weights[-1] = 1.0
-        model = cpuf.CpufModel.from_chains([[weights]])
+        model = cpuf.CpufModel(kind=cpuf.KIND_XOR, n=8, out_bits=1, seed=0,
+                               bits=(cpuf.XorArbiterPuf((cpuf.ArbiterChain(weights),)),))
         ch = cpuf.random_challenges(8, 200, derive_rng(24))
         assert not np.any(model.eval_batch(ch))
 
@@ -180,8 +183,8 @@ class TestStatistics:
         # distribution statistics (e.g. the max-frequency bias) are invariant
         base = cpuf.CpufModel.xor_arbiter(16, 2, 1, 321)
         chains = base.bits[0].chains
-        negated = cpuf.CpufModel.from_chains(
-            [[-chains[0].weights, chains[1].weights]])
+        negated = replace(base, bits=(cpuf.XorArbiterPuf(
+            (cpuf.ArbiterChain(-chains[0].weights), chains[1])),))
         ch = cpuf.random_challenges(16, 50000, derive_rng(27))
         assert np.array_equal(base.eval_batch(ch), 1 - negated.eval_batch(ch))
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import hybrid, qstate
+from hlpuf_lab.adversary import wire_amplitudes
 from hlpuf_lab.cpuf import CpufModel
 from hlpuf_lab.hybrid import ABORT, BB84, MUB4, MUB8
 from hlpuf_lab.seeding import derive_rng
+from state_helpers import same_state
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -30,6 +32,14 @@ def match_probability_oracle(probe: qstate.PureState, scheme) -> float:
     return total / count
 
 
+def halves(device, x):
+    """(first-half states, second-half states) of an HPUF on challenge x: one CPUF
+    evaluation, each half block-encoded."""
+    y = device.cpuf.eval(x)
+    half = device.half_bit_count
+    return hybrid.encode_half(y[:half], device.scheme), hybrid.encode_half(y[half:], device.scheme)
+
+
 def encode_block(bits, scheme):
     """The one state of a one-block half."""
     [state] = hybrid.encode_half(bits, scheme)
@@ -38,9 +48,9 @@ def encode_block(bits, scheme):
 
 class TestEncodeBlock:
     def test_bb84_rows(self):
-        assert encode_block((0, 1), BB84).isclose(qstate.bb84_state(0, 1))
-        assert encode_block((1, 0), BB84).isclose(qstate.bb84_state(1, 0))
-        assert encode_block((1, 1), BB84).isclose(qstate.bb84_state(1, 1))
+        assert same_state(encode_block((0, 1), BB84), qstate.bb84_state(0, 1))
+        assert same_state(encode_block((1, 0), BB84), qstate.bb84_state(1, 0))
+        assert same_state(encode_block((1, 1), BB84), qstate.bb84_state(1, 1))
 
     def test_mub8_identity_basis(self):
         state = encode_block((0, 0, 0, 0, 0, 0), MUB8)
@@ -68,52 +78,50 @@ class TestEncodeBlock:
                     state = encode_block(bits, scheme)
                     assert hybrid.decode_block(state, theta, scheme) == bits
 
-    def test_half_decoder_matches_per_block_packing(self):
+    def test_block_indices_match_the_scalar_layout(self):
+        # scalar reference of the documented layout: per block, value bits then
+        # basis bits, each most significant first
         rng = derive_rng(52)
         for scheme in (BB84, MUB4, MUB8):
             step, vb = scheme.bits_per_block, scheme.value_bits
-            bits = rng.integers(0, 2, size=5 * step, dtype=np.uint8)
-            expected = [(hybrid.bits_to_int(bits[i:i + vb]),
-                         hybrid.bits_to_int(bits[i + vb:i + step]))
-                        for i in range(0, len(bits), step)]
-            assert hybrid._block_indices(bits, scheme) == expected
-            assert hybrid._block_indices(tuple(int(b) for b in bits), scheme) == expected
-            assert hybrid._block_indices((), scheme) == []
+            rows = rng.integers(0, 2, size=(20, 5 * step), dtype=np.uint8)
+            ref = np.array([[[int("".join(map(str, row[i:i + vb])), 2),
+                              int("".join(map(str, row[i + vb:i + step])), 2)]
+                             for i in range(0, len(row), step)] for row in rows])
+            assert np.array_equal(hybrid.block_indices(rows, scheme), ref)
+            # both callers: the per-round encoder and the batched wire amplitudes
+            columns = scheme.family().columns
+            for row, blocks in zip(rows, ref):
+                states = hybrid.encode_half(tuple(int(b) for b in row), scheme)
+                assert [s.amplitudes.tobytes() for s in states] == \
+                    [columns[theta, value].tobytes() for value, theta in blocks]
+            want = columns[ref[..., 1], ref[..., 0]]
+            assert wire_amplitudes(rows, scheme).tobytes() == want.tobytes()
+            assert hybrid.block_indices((), scheme).tolist() == []
             with pytest.raises(ValueError):
-                hybrid._block_indices(bits[:-1], scheme)
+                hybrid.block_indices(rows[:, :-1], scheme)
 
 
 class TestHpufEval:
     def test_half_sizes_bb84(self):
         device = make_device(BB84, m_qubits=2).hpuf  # out_bits = 8
-        first, second = device.hpuf_eval(np.zeros(16, dtype=np.uint8))
+        first, second = halves(device, np.zeros(16, dtype=np.uint8))
         assert len(first) == 2 and len(second) == 2
 
     def test_ideal_p1_gives_all_zero_states(self):
         device = hybrid.HpufDevice(CpufModel.ideal(8, 8, 1.0, 3), BB84)
-        first, second = device.hpuf_eval(np.zeros(8, dtype=np.uint8))
+        first, second = halves(device, np.zeros(8, dtype=np.uint8))
         for s in first + second:
-            assert s.isclose(qstate.bb84_state(0, 0))
+            assert same_state(s, qstate.bb84_state(0, 0))
 
     def test_repeat_calls_identical_but_fresh(self):
         device = make_device().hpuf
         x = derive_rng(40).integers(0, 2, size=16, dtype=np.uint8)
-        f1, s1 = device.hpuf_eval(x)
-        f2, s2 = device.hpuf_eval(x)
+        f1, s1 = halves(device, x)
+        f2, s2 = halves(device, x)
         for a, b in zip(f1 + s1, f2 + s2):
-            assert a.isclose(b)
+            assert same_state(a, b)
             assert a is not b
-
-    def test_tensor_split_matches_bit_slices(self):
-        device = make_device().hpuf
-        x = derive_rng(41).integers(0, 2, size=16, dtype=np.uint8)
-        y = device.cpuf.eval(x)
-        first, second = device.hpuf_eval(x)
-        half = len(y) // 2
-        for states, bits in ((first, y[:half]), (second, y[half:])):
-            expected = hybrid.encode_half(bits, BB84)
-            assert len(states) == len(expected)
-            assert all(a.isclose(b) for a, b in zip(states, expected))
 
     def test_rejects_indivisible_width(self):
         with pytest.raises(ValueError):
@@ -126,7 +134,7 @@ class TestLockQuery:
         device = make_device(m_qubits=4)
         for _ in range(50):
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            first, second = device.hpuf.hpuf_eval(x)
+            first, second = halves(device.hpuf, x)
             out = device.lock_query(x, first, rng)
             assert out is not ABORT
             assert len(out) == len(second)
@@ -137,19 +145,19 @@ class TestLockQuery:
         rng = derive_rng(53)
         device = make_device(m_qubits=4)
         x = rng.integers(0, 2, size=16, dtype=np.uint8)
-        first, second = device.hpuf.hpuf_eval(x)
+        first, second = halves(device.hpuf, x)
         out1 = device.lock_query(x, first, rng)
-        out2 = device.lock_query(x, device.hpuf.hpuf_eval(x)[0], rng)
+        out2 = device.lock_query(x, halves(device.hpuf, x)[0], rng)
         assert type(out1) is list and out1
         assert all(type(s) is qstate.PureState for s in out1)
         assert len({id(s) for s in out1 + out2 + first + second}) == 4 * len(out1)
-        assert all(a.isclose(b) for a, b in zip(out1, second))
+        assert all(same_state(a, b) for a, b in zip(out1, second))
 
     def test_wrong_arity_aborts(self):
         rng = derive_rng(43)
         device = make_device(m_qubits=2)
         x = np.zeros(16, dtype=np.uint8)
-        first, _ = device.hpuf.hpuf_eval(x)
+        first, _ = halves(device.hpuf, x)
         out = device.lock_query(x, first[:1], rng)
         assert out is ABORT
         assert not out  # falsy sentinel
@@ -200,25 +208,25 @@ class TestServerSide:
         first = hybrid.encode_half(y[:2], BB84)
         second = hybrid.encode_half(y[2:], BB84)
         assert len(first) == len(second) == 1
-        assert first[0].isclose(qstate.bb84_state(0, 0))
-        assert second[0].isclose(qstate.bb84_state(0, 0))
+        assert same_state(first[0], qstate.bb84_state(0, 0))
+        assert same_state(second[0], qstate.bb84_state(0, 0))
 
     def test_server_encode_mub8_vector_case(self):
         # block-by-block oracle: each half is one 6-bit block
         rng = derive_rng(47)
         y = rng.integers(0, 2, size=12, dtype=np.uint8)
         [first] = hybrid.encode_half(y[:6], MUB8)
-        value = hybrid.bits_to_int(y[:3])
-        theta = hybrid.bits_to_int(y[3:6])
+        value = 4 * int(y[0]) + 2 * int(y[1]) + int(y[2])
+        theta = 4 * int(y[3]) + 2 * int(y[4]) + int(y[5])
         expected = qstate.mub8_family().basis_state(theta, value)
-        assert first.isclose(expected)
+        assert same_state(first, expected)
 
     def test_server_verify_round_trip(self):
         rng = derive_rng(48)
         for scheme, m_qubits in ((BB84, 2), (MUB4, 2), (MUB8, 3)):
             device = make_device(scheme, m_qubits=m_qubits)
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            first, _second = device.hpuf.hpuf_eval(x)
+            first, _second = halves(device.hpuf, x)
             out = device.lock_query(x, first, rng)
             assert out is not ABORT
             y = device.hpuf.cpuf.eval(x)

@@ -9,7 +9,7 @@ from hlpuf_lab.cpuf import CpufModel, random_challenges
 from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice, HpufDevice
 from hlpuf_lab.protocol import (DatabaseExhausted, IdentityAdversary,
                                 InterceptResendAdversary, PassiveObserver,
-                                ServerState, ClientState, StoredReplayAdversary,
+                                ServerState, StoredReplayAdversary,
                                 run_round, run_session, write_transcript)
 from hlpuf_lab.seeding import derive_rng
 
@@ -19,23 +19,23 @@ def make_setup(m_qubits=2, db_size=64, seed=300, n=16, reuse_cap=None):
     ch = random_challenges(n, db_size, derive_rng(seed, 1))
     db = CrpDatabase(ch, model.eval_batch(ch))
     server = ServerState(db, BB84, derive_rng(seed, 2), reuse_cap=reuse_cap)
-    client = ClientState(HlpufDevice(HpufDevice(model, BB84)))
-    return server, client
+    device = HlpufDevice(HpufDevice(model, BB84))
+    return server, device
 
 
 class TestRunRound:
     def test_honest_round_accepts(self):
-        server, client = make_setup()
+        server, device = make_setup()
         rng = derive_rng(301)
         for _ in range(40):
-            outcome = run_round(server, client, IdentityAdversary(), rng)
+            outcome = run_round(server, device, IdentityAdversary(), rng)
             assert outcome.status == protocol.STATUS_ACCEPTED
         assert server.retired_count() == 0
 
     def test_round_updates_reuse_policy(self):
-        server, client = make_setup(db_size=4)
+        server, device = make_setup(db_size=4)
         rng = derive_rng(302)
-        outcome = run_round(server, client, IdentityAdversary(), rng)
+        outcome = run_round(server, device, IdentityAdversary(), rng)
         pol = server.policy[outcome.challenge_index]
         assert pol.status == protocol.REUSABLE
         assert pol.accepted_rounds == 1
@@ -48,12 +48,12 @@ class TestRunRound:
             def backward(self, x, states, transcript):
                 return [qstate.bb84_state(1, 0) for _ in states]
 
-        server, client = make_setup(m_qubits=4, db_size=8)
+        server, device = make_setup(m_qubits=4, db_size=8)
         rng = derive_rng(303)
         retired = 0
         for _ in range(8):
             try:
-                outcome = run_round(server, client, Garbage(), rng)
+                outcome = run_round(server, device, Garbage(), rng)
             except DatabaseExhausted:
                 break
             if outcome.status != protocol.STATUS_ACCEPTED:
@@ -62,16 +62,16 @@ class TestRunRound:
         assert server.retired_count() == retired > 0
 
     def test_empty_database_signals_exhaustion(self):
-        server, client = make_setup(db_size=1)
+        server, device = make_setup(db_size=1)
         rng = derive_rng(304)
         server.record(0, accepted=False)
         with pytest.raises(DatabaseExhausted):
-            run_round(server, client, IdentityAdversary(), rng)
+            run_round(server, device, IdentityAdversary(), rng)
 
     def test_transcript_records_custody(self):
-        server, client = make_setup()
+        server, device = make_setup()
         rng = derive_rng(305)
-        outcome = run_round(server, client, IdentityAdversary(), rng)
+        outcome = run_round(server, device, IdentityAdversary(), rng)
         steps = [e["step"] for e in outcome.transcript]
         assert steps == ["encode_first", "channel", "lock", "channel", "verify"]
         assert all(e["custody_ok"] for e in outcome.transcript)
@@ -93,7 +93,7 @@ def reference_selectable(server):
 class TestChallengeSelection:
     @pytest.mark.parametrize("reuse_cap", [None, -1, 0, 1, 3])
     def test_candidates_track_policy_scan(self, reuse_cap):
-        server, _client = make_setup(db_size=40, seed=300, reuse_cap=reuse_cap)
+        server, _device = make_setup(db_size=40, seed=300, reuse_cap=reuse_cap)
         mirror = derive_rng(300, 2)  # a twin of the generator make_setup gives the server
         steps = derive_rng(306, 1 + (reuse_cap or 0))
         while True:
@@ -119,7 +119,7 @@ class TestChallengeSelection:
             ServerState(db, scheme, derive_rng(307))
 
     def test_retired_challenge_cannot_be_accepted(self):
-        server, _client = make_setup(db_size=4)
+        server, _device = make_setup(db_size=4)
         server.record(2, accepted=False)
         with pytest.raises(ValueError):
             server.record(2, accepted=True)
@@ -132,9 +132,9 @@ class TestAdversaries:
         # probability 1/4; both halves -> (3/4)^(2m)
         m_qubits = 2
         rounds = 4000
-        server, client = make_setup(m_qubits=m_qubits, db_size=rounds, seed=310)
+        server, device = make_setup(m_qubits=m_qubits, db_size=rounds, seed=310)
         adv = InterceptResendAdversary(derive_rng(311))
-        report = run_session(server, client, adv, rounds, derive_rng(312))
+        report = run_session(server, device, adv, rounds, derive_rng(312))
         expected = 0.75 ** (2 * m_qubits)
         sigma = np.sqrt(expected * (1 - expected) / rounds)
         assert abs(report.acceptance_rate - expected) <= 3 * sigma
@@ -148,13 +148,13 @@ class TestAdversaries:
         total = 0
         rng = derive_rng(313)
         for t in range(trials):
-            server, client = make_setup(m_qubits=m_qubits, db_size=2, seed=10000 + t)
+            server, device = make_setup(m_qubits=m_qubits, db_size=2, seed=10000 + t)
             adv = StoredReplayAdversary(rng)
-            r1 = run_round(server, client, adv, rng)
+            r1 = run_round(server, device, adv, rng)
             # the theft round is sacrificed; force the replay onto the other challenge
             server.record(r1.challenge_index, accepted=False)
             try:
-                r2 = run_round(server, client, adv, rng)
+                r2 = run_round(server, device, adv, rng)
             except DatabaseExhausted:
                 continue
             assert r2.challenge_index != r1.challenge_index
@@ -184,25 +184,26 @@ class TestAdversaries:
                 return [post] + list(states[1:])
 
         rounds = 4000
-        server, client = make_setup(m_qubits=2, db_size=rounds, seed=330)
-        adv = OneQubitProbe(derive_rng(331), client.device)
-        report = run_session(server, client, adv, rounds, derive_rng(332))
+        server, device = make_setup(m_qubits=2, db_size=rounds, seed=330)
+        adv = OneQubitProbe(derive_rng(331), device)
+        report = run_session(server, device, adv, rounds, derive_rng(332))
         detected = 1.0 - report.acceptance_rate
         sigma = np.sqrt(0.25 * 0.75 / rounds)
         assert detected >= 0.25 - 3 * sigma
 
     def test_passive_observer_sees_challenges_only(self):
-        server, client = make_setup(db_size=16)
+        server, device = make_setup(db_size=16)
         adv = PassiveObserver(derive_rng(314))
-        report = run_session(server, client, adv, 16, derive_rng(315))
+        report = run_session(server, device, adv, 16, derive_rng(315))
         assert report.acceptance_rate == 1.0
-        assert len(adv.seen) == 16
+        crossings = [e["action"] for e in report.transcript if e["step"] == "channel"]
+        assert crossings == ["passive"] * 32
 
 
 class TestRunSession:
     def test_reuse_prevents_exhaustion(self):
-        server, client = make_setup(db_size=8)
-        report = run_session(server, client, IdentityAdversary(), 100, derive_rng(316))
+        server, device = make_setup(db_size=8)
+        report = run_session(server, device, IdentityAdversary(), 100, derive_rng(316))
         assert report.rounds_completed == 100
         assert not report.exhausted
         assert sum(report.reuse_histogram.values()) == 8
@@ -214,8 +215,8 @@ class TestRunSession:
             def forward(self, x, states, transcript):
                 return [qstate.bb84_state(0, 0) for _ in states]
 
-        server, client = make_setup(m_qubits=4, db_size=10, seed=317)
-        report = run_session(server, client, AlwaysBreak(), 100, derive_rng(318))
+        server, device = make_setup(m_qubits=4, db_size=10, seed=317)
+        report = run_session(server, device, AlwaysBreak(), 100, derive_rng(318))
         assert report.exhausted
         assert report.rounds_completed < 100
         # every failed round retired its challenge; lucky passes may remain
@@ -223,8 +224,8 @@ class TestRunSession:
             1 for s in report.outcomes if s != protocol.STATUS_ACCEPTED)
 
     def test_reuse_cap_limits_selection(self):
-        server, client = make_setup(db_size=2, reuse_cap=1)
-        report = run_session(server, client, IdentityAdversary(), 100, derive_rng(319))
+        server, device = make_setup(db_size=2, reuse_cap=1)
+        report = run_session(server, device, IdentityAdversary(), 100, derive_rng(319))
         # each challenge may be accepted at most reuse_cap+1 times
         assert report.exhausted
         assert report.rounds_completed == 4
@@ -244,8 +245,8 @@ class TestRunSession:
                     return [qstate.bb84_state(0, 0) for _ in states]
                 return states
 
-        server, client = make_setup(m_qubits=4, db_size=6, seed=320)
-        report = run_session(server, client, BreakOnce(), 50, derive_rng(321))
+        server, device = make_setup(m_qubits=4, db_size=6, seed=320)
+        report = run_session(server, device, BreakOnce(), 50, derive_rng(321))
         # reconstruct per-round challenge indices from the transcript and check
         # no challenge is selected after the round that retired it
         selected = [e["challenge_index"] for e in report.transcript
@@ -259,16 +260,16 @@ class TestRunSession:
             assert later == []
 
     def test_audit_reports_uniform_guesser(self):
-        server, client = make_setup(m_qubits=2, db_size=4, seed=322)
+        server, device = make_setup(m_qubits=2, db_size=4, seed=322)
         adv = PassiveObserver(derive_rng(323))
-        report = run_session(server, client, adv, 40, derive_rng(324))
+        report = run_session(server, device, adv, 40, derive_rng(324))
         assert report.audit_total > 0
         assert 0.0 <= report.audit_hit_rate <= 1.0
 
     def test_session_deterministic(self):
         def run_once():
-            server, client = make_setup(db_size=16, seed=325)
-            return run_session(server, client, IdentityAdversary(), 30,
+            server, device = make_setup(db_size=16, seed=325)
+            return run_session(server, device, IdentityAdversary(), 30,
                                derive_rng(326)).to_json()
 
         assert run_once() == run_once()
@@ -276,8 +277,8 @@ class TestRunSession:
 
 class TestTranscriptExport:
     def test_jsonl_round_trips(self, tmp_path):
-        server, client = make_setup(db_size=8)
-        report = run_session(server, client, IdentityAdversary(), 10, derive_rng(327))
+        server, device = make_setup(db_size=8)
+        report = run_session(server, device, IdentityAdversary(), 10, derive_rng(327))
         path = tmp_path / "transcript.jsonl"
         write_transcript(path, report)
         lines = path.read_text().strip().split("\n")

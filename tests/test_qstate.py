@@ -3,6 +3,7 @@ import pytest
 
 from hlpuf_lab import qstate
 from hlpuf_lab.seeding import derive_rng
+from state_helpers import same_state
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -10,6 +11,12 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return qstate.PureState(v / np.linalg.norm(v))
+
+
+def projectors(meas):
+    """(P_a, P_b): the projectors onto the measurement's outcome-0 and outcome-1 columns."""
+    va, vb = meas.basis[:, meas.labels == 0], meas.basis[:, meas.labels == 1]
+    return va @ va.conj().T, vb @ vb.conj().T
 
 
 def random_density(rng, dim, terms=3):
@@ -158,7 +165,7 @@ class TestHelstromMeasurement:
     def test_orthogonal_projectors(self):
         meas = qstate.helstrom_measurement(qstate.bb84_state(0, 0).density(),
                                            qstate.bb84_state(1, 0).density())
-        pa, pb = meas.projectors()
+        pa, pb = projectors(meas)
         assert np.allclose(pa, [[1, 0], [0, 0]], atol=1e-9)
         assert np.allclose(pb, [[0, 0], [0, 1]], atol=1e-9)
 
@@ -170,7 +177,7 @@ class TestHelstromMeasurement:
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         expected_a = np.outer([c, s], [c, s])
         expected_b = np.outer([-s, c], [-s, c])
-        pa, pb = meas.projectors()
+        pa, pb = projectors(meas)
         assert np.allclose(pa, expected_a, atol=1e-9)
         assert np.allclose(pb, expected_b, atol=1e-9)
 
@@ -178,39 +185,20 @@ class TestHelstromMeasurement:
         rng = derive_rng(10)
         for dim in (2, 4, 8):
             a, b = random_density(rng, dim), random_density(rng, dim)
-            pa, pb = qstate.helstrom_measurement(a, b).projectors()
+            pa, pb = projectors(qstate.helstrom_measurement(a, b))
             assert np.allclose(pa + pb, np.eye(dim), atol=1e-9)
 
-    def test_identical_states_sample_at_half(self):
-        rng = derive_rng(11)
-        rho = random_density(rng, 2)
-        meas = qstate.helstrom_measurement(rho, rho)
-        psi = qstate.bb84_state(0, 1)
-        n = 20000
-        hits = sum(meas.sample(psi, rng) == 0 for _ in range(n))
-        # any completion is valid; discrimination success against an equal pair is 1/2
-        assert abs(hits / n - meas.probability_a(psi)) <= 3 * np.sqrt(0.25 / n)
-
-    def test_empirical_success_matches_helstrom(self):
-        # sample the optimal measurement on states drawn from the two hypotheses
-        rng = derive_rng(12)
+    def test_success_matches_helstrom(self):
+        # the optimal measurement's exact success on states drawn from the two
+        # equiprobable hypotheses, each an equal mixture of two states
         a_states = [qstate.bb84_state(0, 0), qstate.bb84_state(0, 1)]
         b_states = [qstate.bb84_state(1, 0), qstate.bb84_state(1, 1)]
         a = qstate.mixture([(s, 0.5) for s in a_states])
         b = qstate.mixture([(s, 0.5) for s in b_states])
         meas = qstate.helstrom_measurement(a, b)
-        target = qstate.helstrom_success(a, b, 0.5)
-        n = 100000
-        correct = 0
-        pick_a = rng.random(n) < 0.5
-        which = rng.integers(0, 2, size=n)
-        for i in range(n):
-            if pick_a[i]:
-                correct += meas.sample(a_states[which[i]], rng) == 0
-            else:
-                correct += meas.sample(b_states[which[i]], rng) == 1
-        sigma = np.sqrt(target * (1 - target) / n)
-        assert abs(correct / n - target) <= 3 * sigma
+        success = 0.25 * sum(meas.probability_a(s) for s in a_states) \
+            + 0.25 * sum(1 - meas.probability_a(s) for s in b_states)
+        assert abs(success - qstate.helstrom_success(a, b, 0.5)) <= 1e-12
 
 
 class TestMeasure:
@@ -220,7 +208,7 @@ class TestMeasure:
         for _ in range(50):
             outcome, post = qstate.measure(qstate.bb84_state(0, 1), x_basis, rng)
             assert outcome == 0
-            assert post.isclose(qstate.bb84_state(0, 1))
+            assert same_state(post, qstate.bb84_state(0, 1))
 
     def test_conjugate_basis_is_uniform(self):
         rng = derive_rng(14)
@@ -371,7 +359,7 @@ class TestFamilyTables:
         fam = qstate.MubFamily(2, [np.eye(2), 2.0 * np.eye(2)], validate=False)
         assert fam.columns is None
         assert fam.check()
-        assert fam.basis_state(0, 1).isclose(qstate.PureState([0.0, 1.0]))
+        assert same_state(fam.basis_state(0, 1), qstate.PureState([0.0, 1.0]))
         with pytest.raises(ValueError):
             fam.basis_state(1, 0)
 
