@@ -248,10 +248,9 @@ def wire_amplitudes(bits, scheme: EncodingScheme) -> np.ndarray:
 
 
 def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,
-                         rng: np.random.Generator, p: float = 0.5,
-                         prior_bases: int | None = None) -> np.ndarray:
+                         rng: np.random.Generator, prior_bases: int | None = None) -> np.ndarray:
     """Guessed bits (N, blocks * bits_per_block) of single-copy amplitudes (N, blocks, dim)."""
-    attack = _cached_attack(scheme.kind, p, prior_bases)
+    attack = _cached_attack(scheme.kind, 0.5, prior_bases)
     amps = np.asarray(amps)
     if amps.ndim != 3 or amps.shape[2] != scheme.block_dim:
         raise ValueError("state dimension does not match the scheme")

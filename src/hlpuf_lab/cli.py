@@ -35,8 +35,7 @@ from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extracti
 from .cpuf import CpufModel, random_challenges, transform_batch
 from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, decode_block, encode_half,
                      int_to_bits, server_verify)
-from .protocol import (IdentityAdversary, InterceptResendAdversary, PassiveObserver,
-                       ServerState, run_session, write_transcript)
+from .protocol import ADVERSARIES, ServerState, run_session, write_transcript
 from .seeding import derive_rng
 
 SCHEMA_VERSION = 1
@@ -84,8 +83,7 @@ class ExperimentConfig:
                            help="when > 0, add seeded Monte Carlo p_extract_mc rows")
     rounds: int = _setting(100, _PROTOCOL, lo=1)
     reuse_cap: int | None = _setting(None, _PROTOCOL, lo=0)
-    adversary: str = _setting("identity", _PROTOCOL,
-                              choices=("identity", "passive", "intercept"))
+    adversary: str = _setting("identity", _PROTOCOL, choices=tuple(ADVERSARIES))
     puf: str = _setting("xor", _PROTOCOL, choices=("xor", "ideal"))
     db_size: int = _setting(256, _PROTOCOL, lo=1)
     eps_list: tuple = _setting((0.0, 0.1, 0.2), _BOUNDS, lo=0.0, hi=1.0)
@@ -325,13 +323,7 @@ def _build_protocol_parts(config: ExperimentConfig):
     server = ServerState(db, scheme, derive_rng(config.seed, 11),
                          reuse_cap=config.reuse_cap)
     device = HlpufDevice(HpufDevice(cpuf, scheme))
-    adv_rng = derive_rng(config.seed, 12)
-    if config.adversary == "identity":
-        adversary = IdentityAdversary()
-    elif config.adversary == "passive":
-        adversary = PassiveObserver(adv_rng)
-    else:
-        adversary = InterceptResendAdversary(adv_rng)
+    adversary = ADVERSARIES[config.adversary](derive_rng(config.seed, 12))
     return server, device, adversary
 
 
@@ -343,10 +335,7 @@ def cmd_protocol(config: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_sha256": config.config_hash(), "version": __version__,
             "schema": SCHEMA_VERSION}
-    with open(out / "session.json", "w") as fh:
-        payload = json.loads(report.to_json())
-        payload["meta"] = meta
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    (out / "session.json").write_text(report.to_json(meta) + "\n")
     write_transcript(out / "transcript.jsonl", report)
     return 0
 

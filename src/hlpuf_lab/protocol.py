@@ -7,10 +7,13 @@ otherwise the second-half states return through the backward hook and the
 server verifies them by measurement. Accepted rounds mark the challenge
 reusable; any failure retires it permanently.
 
-Transcripts record every hook crossing for audit and replay. Each channel
-event carries a ``custody_ok`` flag meant as a stand-in for no-cloning, but
-it only checks that one crossing holds no object twice: nothing yet compares
-crossings across rounds, so a replayed state still reads ``custody_ok: true``.
+A channel adversary is a ChannelAdversary subclass built from one generator,
+``cls(rng)``. Its hooks ``forward(x, states)`` and ``backward(x, states)``
+return the states they pass on; ADVERSARIES names the ones the CLI offers.
+
+Transcripts record every hook crossing for audit and replay. Each event
+carries ``custody_ok``, a no-cloning flag that stays a constant true until a
+custody ledger sets it, so a replayed state still reads ``custody_ok: true``.
 """
 
 import json
@@ -91,11 +94,14 @@ class ChannelAdversary:
 
     name = "identity"
 
-    def forward(self, x, states, transcript):
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def forward(self, x, states):
         """Server-to-client hook; receives each in-flight state exactly once."""
         return states
 
-    def backward(self, x, states, transcript):
+    def backward(self, x, states):
         """Client-to-server hook."""
         return states
 
@@ -104,55 +110,42 @@ class ChannelAdversary:
         return None
 
 
-class IdentityAdversary(ChannelAdversary):
-    pass
-
-
 class PassiveObserver(ChannelAdversary):
     """Records traffic metadata only; audits with uniform guesses."""
 
     name = "passive"
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
 
     def guess_half_bits(self, x, bit_count: int):
         return self.rng.integers(0, 2, size=bit_count, dtype=np.uint8)
 
 
 class InterceptResendAdversary(ChannelAdversary):
-    """Measures every in-flight qubit in a random conjugate basis and resends it."""
+    """Measures every in-flight qubit in a random conjugate basis and resends it; keeps
+    only what its audit guess reads, each challenge's last forward readout."""
 
     name = "intercept_resend"
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.records = {}
+        super().__init__(rng)
+        self.readouts = {}
 
-    def _tap(self, x, states, direction):
-        resent = []
-        recs = []
-        for s in states:
-            post, bit, basis = intercept_resend(s, self.rng)
-            resent.append(post)
-            recs.append((bit, basis))
-        self.records.setdefault((tuple(x.tolist()), direction), []).append(recs)
+    def _tap(self, states):
+        """The resent states and each qubit's (bit, basis) readout, in order."""
+        taps = [intercept_resend(s, self.rng) for s in states]
+        return [t[0] for t in taps], [t[1:] for t in taps]
+
+    def forward(self, x, states):
+        resent, self.readouts[x.tobytes()] = self._tap(states)
         return resent
 
-    def forward(self, x, states, transcript):
-        return self._tap(x, states, "forward")
-
-    def backward(self, x, states, transcript):
-        return self._tap(x, states, "backward")
+    def backward(self, x, states):
+        return self._tap(states)[0]
 
     def guess_half_bits(self, x, bit_count: int):
-        recs = self.records.get((tuple(x.tolist()), "forward"))
-        if not recs:
+        readout = self.readouts.get(x.tobytes())
+        if readout is None:
             return None
-        bits = []
-        for outcome, basis in recs[-1]:
-            bits.extend([outcome, basis])
-        return np.array(bits[:bit_count], dtype=np.uint8)
+        return np.array([b for pair in readout for b in pair][:bit_count], dtype=np.uint8)
 
 
 class StoredReplayAdversary(ChannelAdversary):
@@ -162,10 +155,10 @@ class StoredReplayAdversary(ChannelAdversary):
     name = "stored_replay"
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+        super().__init__(rng)
         self.stored = None
 
-    def backward(self, x, states, transcript):
+    def backward(self, x, states):
         if self.stored is None:
             self.stored = list(states)
             return [qstate.bb84_state(int(self.rng.integers(0, 2)),
@@ -174,17 +167,15 @@ class StoredReplayAdversary(ChannelAdversary):
         return list(self.stored)
 
 
+ADVERSARIES = {"identity": ChannelAdversary, "passive": PassiveObserver,
+               "intercept": InterceptResendAdversary}
+
+
 @dataclass
 class RoundOutcome:
     status: str
     challenge_index: int
     transcript: list = field(default_factory=list)
-
-
-def _custody_check(before, after):
-    """Arity plus exactly-once presentation of each in-flight object."""
-    ids = [id(s) for s in before]
-    return len(set(ids)) == len(ids) and len(after) >= 0
 
 
 def run_round(server: ServerState, device: HlpufDevice, adversary: ChannelAdversary,
@@ -195,17 +186,15 @@ def run_round(server: ServerState, device: HlpufDevice, adversary: ChannelAdvers
     y = server.db.responses[idx]
     events = []
 
-    def log(step, direction, action, n_states, custody_ok=True):
+    def log(step, direction, action, n_states, **extra):
         events.append({"round": round_index, "step": step, "direction": direction,
-                       "action": action, "n_states": n_states, "custody_ok": custody_ok})
+                       "action": action, "n_states": n_states, "custody_ok": True, **extra})
 
     sent = encode_half(y[:server.half_bits], server.scheme)
-    events.append({"round": round_index, "step": "encode_first", "direction": "server",
-                   "action": "encode", "n_states": len(sent),
-                   "custody_ok": True, "challenge_index": int(idx)})
+    log("encode_first", "server", "encode", len(sent), challenge_index=int(idx))
 
-    delivered = adversary.forward(x, sent, events)
-    log("channel", "forward", adversary.name, len(delivered), _custody_check(sent, delivered))
+    delivered = adversary.forward(x, sent)
+    log("channel", "forward", adversary.name, len(delivered))
 
     reply = device.lock_query(x, delivered, rng)
     if reply is ABORT:
@@ -214,8 +203,8 @@ def run_round(server: ServerState, device: HlpufDevice, adversary: ChannelAdvers
         return RoundOutcome(STATUS_CLIENT_ABORT, idx, events)
     log("lock", "client", "release_second_half", len(reply))
 
-    returned = adversary.backward(x, reply, events)
-    log("channel", "backward", adversary.name, len(returned), _custody_check(reply, returned))
+    returned = adversary.backward(x, reply)
+    log("channel", "backward", adversary.name, len(returned))
 
     ok = server_verify(y[server.half_bits:], returned, server.scheme, rng)
     log("verify", "server", "accept" if ok else "reject", len(returned))
@@ -239,7 +228,8 @@ class SessionReport:
     outcomes: list
     transcript: list
 
-    def to_json(self) -> str:
+    def to_json(self, meta: dict) -> str:
+        """The session summary and the run's ``meta`` block as one JSON object."""
         payload = {
             "rounds_completed": self.rounds_completed,
             "accepted": self.accepted,
@@ -251,6 +241,7 @@ class SessionReport:
             "audit_hits": self.audit_hits,
             "audit_total": self.audit_total,
             "outcomes": self.outcomes,
+            "meta": meta,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

@@ -180,8 +180,8 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     db = CrpDatabase(ch, model.eval_batch(ch))
     server = protocol.ServerState(db, BB84, derive_rng(9108))
     device = HlpufDevice(HpufDevice(model, BB84))
-    honest = protocol.run_session(server, device, protocol.IdentityAdversary(),
-                                  100, derive_rng(9109))
+    rng = derive_rng(9109)
+    honest = protocol.run_session(server, device, protocol.ChannelAdversary(rng), 100, rng)
     assert honest.rounds_completed == 100
     assert honest.accepted == 100
 

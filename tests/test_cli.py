@@ -389,6 +389,21 @@ class TestGoldenOutputs:
         assert sha256(out / "transcript.jsonl") == \
             "132a51e9a095237998c129bf4d8549a8d04d06593d4b817faa44d55d6850a8bb"
 
+    def test_protocol_intercept_audit_hits(self, tmp_path):
+        # reused challenges survive the intercept adversary, so the audit reads its
+        # kept forward readouts: 5 audits, 2 hits, exhausted after 39 rounds
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "9", "--m", "1", "--n", "32", "--puf", "ideal",
+                    "--adversary", "intercept", "--db-size", "16", "--rounds", "300",
+                    "--out", str(out)]) == 0
+        session = json.loads((out / "session.json").read_text())
+        assert (session["audit_total"], session["audit_hits"]) == (5, 2)
+        assert session["rounds_completed"] == 39
+        assert sha256(out / "session.json") == \
+            "82ccdcf7e1674441c89063f2c04ce5b823c3470a8733bf9724b09f73dcdbd434"
+        assert sha256(out / "transcript.jsonl") == \
+            "1ade8ded90c90013c3f0531bc1edfb8a03812b22ea1b0958cd1baa3a4a127e0e"
+
     def test_protocol_multi_chunk_ideal_enrollment(self, tmp_path):
         # 2,500 ideal-CPUF rows span three hashing blocks, and 12-bit challenges
         # pack into a part-filled second byte

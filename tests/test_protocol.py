@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import protocol, qstate
-from hlpuf_lab.adversary import CrpDatabase
+from hlpuf_lab.adversary import CrpDatabase, intercept_resend
 from hlpuf_lab.cpuf import CpufModel, random_challenges
 from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice, HpufDevice
-from hlpuf_lab.protocol import (DatabaseExhausted, IdentityAdversary,
+from hlpuf_lab.protocol import (ChannelAdversary, DatabaseExhausted,
                                 InterceptResendAdversary, PassiveObserver,
                                 ServerState, StoredReplayAdversary,
                                 run_round, run_session, write_transcript)
@@ -28,24 +28,24 @@ class TestRunRound:
         server, device = make_setup()
         rng = derive_rng(301)
         for _ in range(40):
-            outcome = run_round(server, device, IdentityAdversary(), rng)
+            outcome = run_round(server, device, ChannelAdversary(rng), rng)
             assert outcome.status == protocol.STATUS_ACCEPTED
         assert server.retired_count() == 0
 
     def test_round_updates_reuse_policy(self):
         server, device = make_setup(db_size=4)
         rng = derive_rng(302)
-        outcome = run_round(server, device, IdentityAdversary(), rng)
+        outcome = run_round(server, device, ChannelAdversary(rng), rng)
         pol = server.policy[outcome.challenge_index]
         assert pol.status == protocol.REUSABLE
         assert pol.accepted_rounds == 1
 
     def test_failed_round_retires_challenge(self):
         # an adversary that replaces the reply with garbage forces rejection
-        class Garbage(IdentityAdversary):
+        class Garbage(ChannelAdversary):
             name = "garbage"
 
-            def backward(self, x, states, transcript):
+            def backward(self, x, states):
                 return [qstate.bb84_state(1, 0) for _ in states]
 
         server, device = make_setup(m_qubits=4, db_size=8)
@@ -53,7 +53,7 @@ class TestRunRound:
         retired = 0
         for _ in range(8):
             try:
-                outcome = run_round(server, device, Garbage(), rng)
+                outcome = run_round(server, device, Garbage(rng), rng)
             except DatabaseExhausted:
                 break
             if outcome.status != protocol.STATUS_ACCEPTED:
@@ -66,12 +66,12 @@ class TestRunRound:
         rng = derive_rng(304)
         server.record(0, accepted=False)
         with pytest.raises(DatabaseExhausted):
-            run_round(server, device, IdentityAdversary(), rng)
+            run_round(server, device, ChannelAdversary(rng), rng)
 
     def test_transcript_records_custody(self):
         server, device = make_setup()
         rng = derive_rng(305)
-        outcome = run_round(server, device, IdentityAdversary(), rng)
+        outcome = run_round(server, device, ChannelAdversary(rng), rng)
         steps = [e["step"] for e in outcome.transcript]
         assert steps == ["encode_first", "channel", "lock", "channel", "verify"]
         assert all(e["custody_ok"] for e in outcome.transcript)
@@ -139,6 +139,42 @@ class TestAdversaries:
         sigma = np.sqrt(expected * (1 - expected) / rounds)
         assert abs(report.acceptance_rate - expected) <= 3 * sigma
 
+    def test_intercept_keeps_only_the_last_forward_readout(self, monkeypatch):
+        crossings = []  # (direction, challenge bytes, [(bit, basis) per qubit])
+
+        def recorded(state, rng):
+            post, bit, basis = intercept_resend(state, rng)
+            crossings[-1][2].append((bit, basis))
+            return post, bit, basis
+
+        monkeypatch.setattr(protocol, "intercept_resend", recorded)
+
+        class Tagged(InterceptResendAdversary):
+            def forward(self, x, states):
+                crossings.append(("forward", x.tobytes(), []))
+                return super().forward(x, states)
+
+            def backward(self, x, states):
+                crossings.append(("backward", x.tobytes(), []))
+                return super().backward(x, states)
+
+        server, device = make_setup(m_qubits=2, db_size=24, seed=340)
+        adv = Tagged(derive_rng(341))
+        report = run_session(server, device, adv, 300, derive_rng(342))
+        last_forward = {key: readout for direction, key, readout in crossings
+                        if direction == "forward"}
+        assert report.audit_total > 0 and server.retired_count() > 0
+        directions = [d for d, _, _ in crossings]
+        assert directions.count("forward") > len(last_forward) and "backward" in directions
+        # one readout per forwarded challenge, never overwritten by a backward tap
+        assert adv.readouts == last_forward
+        for idx, pol in enumerate(server.policy):
+            if pol.accepted_rounds < 2:
+                continue
+            x = server.db.challenges[idx]
+            expected = [b for pair in last_forward[x.tobytes()] for b in pair]
+            assert adv.guess_half_bits(x, server.half_bits).tolist() == expected
+
     def test_stored_replay_from_other_challenge_rejected(self):
         # replaying a second half stolen under a different challenge matches a
         # fresh uniform response: accept probability 2^-m, enumerated at m=2
@@ -168,14 +204,14 @@ class TestAdversaries:
         # cheat sensitivity oracle: measuring exactly one in-flight qubit in
         # the conjugate of its true basis flips that verification with
         # probability 1/4, so detection per round is at least 1/4
-        class OneQubitProbe(IdentityAdversary):
+        class OneQubitProbe(ChannelAdversary):
             name = "one_qubit_probe"
 
             def __init__(self, rng, device):
                 self.rng = rng
                 self.device = device
 
-            def forward(self, x, states, transcript):
+            def forward(self, x, states):
                 true_basis = self.device.hpuf.cpuf.eval(x)[1]
                 wrong = 1 - true_basis
                 basis = (np.eye(2, dtype=complex) if wrong == 0 else
@@ -203,20 +239,22 @@ class TestAdversaries:
 class TestRunSession:
     def test_reuse_prevents_exhaustion(self):
         server, device = make_setup(db_size=8)
-        report = run_session(server, device, IdentityAdversary(), 100, derive_rng(316))
+        rng = derive_rng(316)
+        report = run_session(server, device, ChannelAdversary(rng), 100, rng)
         assert report.rounds_completed == 100
         assert not report.exhausted
         assert sum(report.reuse_histogram.values()) == 8
 
     def test_forced_failures_deplete_database(self):
-        class AlwaysBreak(IdentityAdversary):
+        class AlwaysBreak(ChannelAdversary):
             name = "break"
 
-            def forward(self, x, states, transcript):
+            def forward(self, x, states):
                 return [qstate.bb84_state(0, 0) for _ in states]
 
         server, device = make_setup(m_qubits=4, db_size=10, seed=317)
-        report = run_session(server, device, AlwaysBreak(), 100, derive_rng(318))
+        rng = derive_rng(318)
+        report = run_session(server, device, AlwaysBreak(rng), 100, rng)
         assert report.exhausted
         assert report.rounds_completed < 100
         # every failed round retired its challenge; lucky passes may remain
@@ -225,20 +263,21 @@ class TestRunSession:
 
     def test_reuse_cap_limits_selection(self):
         server, device = make_setup(db_size=2, reuse_cap=1)
-        report = run_session(server, device, IdentityAdversary(), 100, derive_rng(319))
+        rng = derive_rng(319)
+        report = run_session(server, device, ChannelAdversary(rng), 100, rng)
         # each challenge may be accepted at most reuse_cap+1 times
         assert report.exhausted
         assert report.rounds_completed == 4
         assert all(pol.accepted_rounds <= 2 for pol in server.policy)
 
     def test_retired_challenges_never_reselected(self):
-        class BreakOnce(IdentityAdversary):
+        class BreakOnce(ChannelAdversary):
             name = "break_once"
 
             def __init__(self):
                 self.broken = set()
 
-            def forward(self, x, states, transcript):
+            def forward(self, x, states):
                 key = tuple(int(b) for b in x)
                 if key not in self.broken:
                     self.broken.add(key)
@@ -269,8 +308,8 @@ class TestRunSession:
     def test_session_deterministic(self):
         def run_once():
             server, device = make_setup(db_size=16, seed=325)
-            return run_session(server, device, IdentityAdversary(), 30,
-                               derive_rng(326)).to_json()
+            rng = derive_rng(326)
+            return run_session(server, device, ChannelAdversary(rng), 30, rng).to_json({})
 
         assert run_once() == run_once()
 
@@ -278,7 +317,8 @@ class TestRunSession:
 class TestTranscriptExport:
     def test_jsonl_round_trips(self, tmp_path):
         server, device = make_setup(db_size=8)
-        report = run_session(server, device, IdentityAdversary(), 10, derive_rng(327))
+        rng = derive_rng(327)
+        report = run_session(server, device, ChannelAdversary(rng), 10, rng)
         path = tmp_path / "transcript.jsonl"
         write_transcript(path, report)
         lines = path.read_text().strip().split("\n")
