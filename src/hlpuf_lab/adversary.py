@@ -19,8 +19,8 @@ import numpy as np
 
 from . import qstate
 from .cpuf import CpufModel, random_challenges, transform_batch
-from .hybrid import (ABORT, SCHEMES, EncodingScheme, HpufDevice, HlpufDevice, block_indices,
-                     encode_half, int_to_bits, server_verify)
+from .hybrid import (ABORT, SCHEMES, EncodingScheme, HlpufDevice, block_indices, encode_half,
+                     int_to_bits, server_verify)
 
 @dataclass
 class CrpDatabase:
@@ -236,11 +236,6 @@ def _cached_attack(kind: str, p: float, prior_bases) -> SplitAttack:
     return SplitAttack(SCHEMES[kind], p=p, prior_bases=prior_bases)
 
 
-def _int_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Most-significant-first bits of each integer, as a trailing axis of length width."""
-    return (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
-
-
 def wire_amplitudes(bits, scheme: EncodingScheme) -> np.ndarray:
     """(N, blocks, dim) amplitudes of the block states ``encode_half`` sends for N bit rows."""
     blocks = block_indices(bits, scheme)
@@ -256,8 +251,8 @@ def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,
         raise ValueError("state dimension does not match the scheme")
     rows, blocks = amps.shape[:2]
     value, theta = attack.guess_amplitudes(amps.reshape(rows * blocks, -1), rng)
-    bits = np.concatenate([_int_bits(value, scheme.value_bits),
-                           _int_bits(theta, scheme.basis_bits)], axis=1)
+    bits = np.concatenate([int_to_bits(value, scheme.value_bits),
+                           int_to_bits(theta, scheme.basis_bits)], axis=1)
     return bits.reshape(rows, -1).astype(np.uint8)
 
 
@@ -311,20 +306,22 @@ def intercept_resend(state: qstate.PureState, rng: np.random.Generator) -> tuple
 # Logistic-regression modeling attack
 # ---------------------------------------------------------------------------
 
+# the held-out share of the CRPs, and RProp's step sizes: initial, growth and
+# shrink factors, and their clamp
+_VAL_FRACTION = 0.1
+_STEP_INIT = 0.02
+_STEP_UP, _STEP_DOWN = 1.2, 0.5
+_STEP_MIN, _STEP_MAX = 1e-6, 1.0
+
+
 @dataclass(frozen=True)
 class LrConfig:
-    """Trainer settings; all defaults are recorded in outputs."""
+    """Trainer settings a caller chooses; attack-curve's config hash covers each one."""
 
     seed: int = 0
     epochs: int = 200
     batch_size: int = 256
     restarts: int = 5
-    val_fraction: float = 0.1
-    step_init: float = 0.02
-    step_up: float = 1.2
-    step_down: float = 0.5
-    step_min: float = 1e-6
-    step_max: float = 1.0
     stop_validation: float = 0.99
     patience: int = 25
 
@@ -372,7 +369,7 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
     y = db.responses[:, target].astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0x7FFFFFFF, 0x10C157]))
     n_total = len(y)
-    n_val = max(1, int(round(config.val_fraction * n_total)))
+    n_val = max(1, int(round(_VAL_FRACTION * n_total)))
     perm = rng.permutation(n_total)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if len(train_idx) == 0:
@@ -383,7 +380,7 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
     best_w, best_acc, diverged = None, -1.0, False
     for _ in range(config.restarts):
         w = rng.normal(0.0, 1.0, size=(k, phi.shape[1]))
-        step = np.full_like(w, config.step_init)
+        step = np.full_like(w, _STEP_INIT)
         grad, prev_g = np.empty_like(w), np.zeros_like(w)  # two buffers that swap each step
         restart_best_w, restart_best_acc = w.copy(), -1.0
         stall = 0
@@ -413,10 +410,8 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
                 grad /= -len(idx)
                 agree = grad * prev_g
                 flipped = agree < 0
-                step = np.where(agree > 0, np.minimum(step * config.step_up, config.step_max),
-                                step)
-                step = np.where(flipped, np.maximum(step * config.step_down, config.step_min),
-                                step)
+                step = np.where(agree > 0, np.minimum(step * _STEP_UP, _STEP_MAX), step)
+                step = np.where(flipped, np.maximum(step * _STEP_DOWN, _STEP_MIN), step)
                 grad[flipped] = 0.0
                 w -= np.sign(grad) * step
                 grad, prev_g = prev_g, grad
@@ -476,13 +471,11 @@ class GameConfig:
 
     def out_bits(self) -> int:
         scheme = self.scheme()
-        if self.m % scheme.qubits_per_block != 0:
-            raise ValueError("m must be a whole number of blocks")
-        return 2 * (self.m // scheme.qubits_per_block) * scheme.bits_per_block
+        return 2 * scheme.blocks(self.m) * scheme.bits_per_block
 
 
 # Learning phases: learn(device, q, config, rng) -> labels CrpDatabase, or None
-# when the forger has nothing to train on. ``device`` is the trial's HpufDevice.
+# when the forger has nothing to train on. ``device`` is the trial's HlpufDevice.
 
 def _learn_clean(device, q, config, rng):
     """q classical CRPs, as the CPUF hands them out."""
@@ -509,12 +502,11 @@ def _learn_multi_copy(device, q, config, rng):
 
 def _learn_replay(device, q, config, rng):
     """Send honest first halves through the lock; split-attack the second halves it releases."""
-    locked = HlpufDevice(device)
     challenges = random_challenges(config.n, q, rng)
     replies = []
     for x in challenges:
-        first = device.cpuf.eval(x)[:device.half_bit_count]  # the server's transmission
-        out = locked.lock_query(x, encode_half(first, device.scheme), rng)
+        first = device.cpuf.eval(x)[:device.half_bits]  # the server's transmission
+        out = device.lock_query(x, encode_half(first, device.scheme), rng)
         if out is ABORT:  # honest replay always passes
             raise AssertionError("honest replay rejected by the lock")
         replies.append([s.amplitudes for s in out])
@@ -523,11 +515,10 @@ def _learn_replay(device, q, config, rng):
 
 def _learn_probe(device, q, config, rng):
     """Probe the lock with halves of basis-0 value-0 blocks; the forger learns nothing."""
-    locked = HlpufDevice(device)
-    blocks = config.m // device.scheme.qubits_per_block
-    probe = [device.scheme.family().basis_state(0, 0) for _ in range(blocks)]
+    probe = [device.scheme.family().basis_state(0, 0)
+             for _ in range(device.scheme.blocks(config.m))]
     for x in random_challenges(config.n, q, rng):
-        locked.lock_query(x, list(probe), rng)
+        device.lock_query(x, list(probe), rng)
 
 
 class Strategy(NamedTuple):
@@ -584,7 +575,7 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
         child = np.random.default_rng(rng.integers(0, 2**63))
         model_seed = int(child.integers(0, 2**31 - 1))
         cpuf = CpufModel.xor_arbiter(config.n, config.k, out_bits, model_seed)
-        device = HpufDevice(cpuf, scheme)
+        device = HlpufDevice(cpuf, scheme)
         lr = replace(config.lr, seed=int(child.integers(0, 2**31 - 1)))
         learn = spec.learners[target]
         db = learn(device, q, config, child) if learn else None

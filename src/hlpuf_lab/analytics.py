@@ -151,9 +151,7 @@ def mc_extract_rate(scheme: EncodingScheme, m: int, p: float, q: int, trials: in
     """
     if min(trials, q, m) < 1:
         raise ValueError("trials, q and m must be at least 1")
-    if m % scheme.qubits_per_block != 0:
-        raise ValueError("m must be a whole number of blocks")
-    blocks = m // scheme.qubits_per_block
+    blocks = scheme.blocks(m)
     attack = _cached_attack(scheme.kind, p, prior_bases)
     n_values = 2 ** scheme.value_bits
     n_theta = scheme.bases_used if prior_bases is None else prior_bases

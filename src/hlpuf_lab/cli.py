@@ -33,8 +33,7 @@ from . import __version__, analytics, qstate
 from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extraction_stats,
                         lr_train, multi_copy_extract_batch)
 from .cpuf import CpufModel, random_challenges, transform_batch
-from .hybrid import (ABORT, BB84, SCHEMES, HlpufDevice, HpufDevice, decode_block, encode_half,
-                     int_to_bits, server_verify)
+from .hybrid import ABORT, BB84, SCHEMES, HlpufDevice, encode_half, int_to_bits, server_verify
 from .protocol import ADVERSARIES, ServerState, run_session, write_transcript
 from .seeding import derive_rng
 
@@ -233,9 +232,10 @@ def _curve_task(payload):
 
 def cmd_attack_curve(config: ExperimentConfig) -> int:
     tasks = [(asdict(config), s) for s in range(config.curve_seeds)]
-    if config.threads > 1:
-        # one task per curve seed: workers beyond --curve-seeds stay idle
-        with ProcessPoolExecutor(max_workers=config.threads) as ex:
+    # one task per curve seed; a pool starts all its workers on the first task
+    workers = min(config.threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_curve_task, tasks))
     else:
         results = [_curve_task(t) for t in tasks]
@@ -310,7 +310,7 @@ def cmd_bounds(config: ExperimentConfig) -> int:
 
 def _build_protocol_parts(config: ExperimentConfig):
     scheme = SCHEMES[config.scheme]
-    out_bits = 2 * (config.m // scheme.qubits_per_block) * scheme.bits_per_block
+    out_bits = 2 * scheme.blocks(config.m) * scheme.bits_per_block
     seed_rng = derive_rng(config.seed, 10)
     model_seed = int(seed_rng.integers(0, 2**31 - 1))
     if config.puf == "ideal":
@@ -322,7 +322,7 @@ def _build_protocol_parts(config: ExperimentConfig):
     db = CrpDatabase(challenges, responses)
     server = ServerState(db, scheme, derive_rng(config.seed, 11),
                          reuse_cap=config.reuse_cap)
-    device = HlpufDevice(HpufDevice(cpuf, scheme))
+    device = HlpufDevice(cpuf, scheme)
     adversary = ADVERSARIES[config.adversary](derive_rng(config.seed, 12))
     return server, device, adversary
 
@@ -357,9 +357,9 @@ def _selfcheck_battery(seed: int):
 
     corrupted = [b.copy() for b in qstate.mub8_family().bases]
     corrupted[3][0, 0] += 0.05
+    caught = False
     try:
-        bad = qstate.MubFamily(8, corrupted, validate=False)
-        caught = bool(bad.check())
+        qstate.MubFamily(8, corrupted)
     except ValueError:
         caught = True
     checks.append(("mub_negative_control", caught,
@@ -399,12 +399,12 @@ def _selfcheck_battery(seed: int):
 
     ok = True
     for scheme in SCHEMES.values():
+        family = scheme.family()
         for value in range(2 ** scheme.value_bits):
             for theta in range(scheme.bases_used):
-                bits = int_to_bits(value, scheme.value_bits) + int_to_bits(
-                    theta, scheme.basis_bits)
+                bits = int_to_bits((value << scheme.basis_bits) | theta, scheme.bits_per_block)
                 [state] = encode_half(bits, scheme)
-                if decode_block(state, theta, scheme) != bits:
+                if family.measure(state, theta, rng) != value:
                     ok = False
     checks.append(("encode_decode_bijectivity", ok, ""))
 
@@ -412,7 +412,7 @@ def _selfcheck_battery(seed: int):
     c = rng.integers(0, 2, size=16, dtype=np.uint8)
     checks.append(("cpuf_determinism", bool(np.array_equal(model.eval(c), model.eval(c))), ""))
 
-    device = HlpufDevice(HpufDevice(model, BB84))
+    device = HlpufDevice(model, BB84)
     y = model.eval(c)
     reply = device.lock_query(c, encode_half(y[:2], BB84), rng)
     ok = reply is not ABORT and server_verify(y[2:], reply, BB84, rng)
@@ -528,21 +528,21 @@ def _check_joint_rules(config: ExperimentConfig, seeded: bool) -> None:
             raise ValueError("m-list, q-grid and eps-list need at least one entry")
         if min(config.q_grid) < 1:
             raise ValueError("every q of a bound table must be at least 1")
-        per_block = SCHEMES[config.scheme].qubits_per_block
-        if config.trials > 0 and not seeded:
-            raise ValueError("--seed is required for Monte Carlo rows (--trials > 0)")
-        if config.trials > 0 and any(m % per_block for m in config.m_list):
-            raise ValueError(f"Monte Carlo rows need every m a multiple of {per_block} "
-                             f"for {config.scheme}")
-        if config.trials > 0 and config.scheme != "bb84" and config.p != 0.5:
-            raise ValueError(f"Monte Carlo rows for {config.scheme} need p 0.5: biased "
-                             "sources are modeled for conjugate coding (bb84) only")
+        if config.trials > 0:
+            if not seeded:
+                raise ValueError("--seed is required for Monte Carlo rows (--trials > 0)")
+            try:
+                for m in config.m_list:
+                    SCHEMES[config.scheme].blocks(m)
+            except ValueError as exc:
+                raise ValueError(f"Monte Carlo rows need whole blocks: {exc}") from None
+            if config.scheme != "bb84" and config.p != 0.5:
+                raise ValueError(f"Monte Carlo rows for {config.scheme} need p 0.5: biased "
+                                 "sources are modeled for conjugate coding (bb84) only")
     if command == "protocol":
         if config.puf == "xor" and config.p != 0.5:
             raise ValueError("p sets the ideal PUF's bias: the xor arbiter PUF takes p 0.5")
-        per_block = SCHEMES[config.scheme].qubits_per_block
-        if config.m < 1 or config.m % per_block:
-            raise ValueError(f"m must be a positive multiple of {per_block} for {config.scheme}")
+        SCHEMES[config.scheme].blocks(config.m)  # m must fill whole blocks
         if config.adversary == "intercept" and config.scheme != "bb84":
             raise ValueError("the intercept adversary measures single qubits: use scheme bb84")
 

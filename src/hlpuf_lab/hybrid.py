@@ -1,11 +1,11 @@
-"""Hybrid PUF devices: quantum encoding of classical responses and the lock.
+"""The hybrid locked PUF (HLPUF): quantum encoding of classical responses and the lock.
 
-An HPUF evaluates its classical PUF once per challenge and encodes the
+The device evaluates its classical PUF once per challenge and encodes the
 response bits block-by-block into non-orthogonal states; the response splits
-into two halves (first/second). The locked variant (HLPUF) releases the
-second half only after verifying incoming first-half states by measuring each
-block in the basis dictated by its own response bits; any failure yields the
-distinguished abort value ABORT and releases nothing.
+into two halves (first/second). The lock releases the second half only after
+verifying incoming first-half states by measuring each block in the basis
+dictated by its own response bits; any failure yields the distinguished abort
+value ABORT and releases nothing.
 
 A half has two forms: its bits, which only the device and the server's CRP
 database hold, and on the wire a list of fresh block states.
@@ -16,8 +16,9 @@ With 2^b basis bits addressing a family of 2^b + 1 bases, the last basis is
 never emitted by devices; attacks may still assume the full-family prior.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +48,7 @@ ABORT = _AbortType()
 
 @dataclass(frozen=True)
 class EncodingScheme:
-    """How classical bits map to block states."""
+    """How classical bits map to block states; ``family()`` gives the block bases."""
 
     kind: str
     bits_per_block: int
@@ -55,6 +56,7 @@ class EncodingScheme:
     block_dim: int
     value_bits: int
     basis_bits: int
+    family: Callable[[], qstate.MubFamily] = field(repr=False)
 
     @property
     def bases_used(self) -> int:
@@ -68,28 +70,34 @@ class EncodingScheme:
         weights[self.value_bits:, 1] = 1 << np.arange(self.basis_bits - 1, -1, -1)
         return weights
 
-    def family(self) -> qstate.MubFamily:
-        if self.kind == "bb84":
-            return qstate.bb84_family()
-        if self.kind == "mub4":
-            return qstate.mub4_family()
-        if self.kind == "mub8":
-            return qstate.mub8_family()
-        raise ValueError(f"unknown scheme kind {self.kind!r}")
+    def blocks(self, m: int) -> int:
+        """Blocks of an m-qubit half."""
+        if m < 1 or m % self.qubits_per_block:
+            raise ValueError(f"m must be a positive multiple of {self.qubits_per_block} "
+                             f"for {self.kind}, not {m}")
+        return m // self.qubits_per_block
+
+    def half_bits(self, out_bits: int) -> int:
+        """Bits per half of an out_bits-bit response; both halves must be whole blocks."""
+        if out_bits % (2 * self.bits_per_block):
+            raise ValueError(f"a {out_bits}-bit response does not split into two halves "
+                             f"of whole {self.kind} blocks")
+        return out_bits // 2
 
 
 BB84 = EncodingScheme("bb84", bits_per_block=2, qubits_per_block=1, block_dim=2,
-                      value_bits=1, basis_bits=1)
+                      value_bits=1, basis_bits=1, family=qstate.bb84_family)
 MUB4 = EncodingScheme("mub4", bits_per_block=4, qubits_per_block=2, block_dim=4,
-                      value_bits=2, basis_bits=2)
+                      value_bits=2, basis_bits=2, family=qstate.mub4_family)
 MUB8 = EncodingScheme("mub8", bits_per_block=6, qubits_per_block=3, block_dim=8,
-                      value_bits=3, basis_bits=3)
+                      value_bits=3, basis_bits=3, family=qstate.mub8_family)
 
 SCHEMES = {s.kind: s for s in (BB84, MUB4, MUB8)}
 
 
-def int_to_bits(value: int, width: int) -> tuple:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+def int_to_bits(values, width: int) -> np.ndarray:
+    """Most-significant-first bits of each integer, as a trailing axis of length width."""
+    return (np.asarray(values)[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 def block_indices(bits, scheme: EncodingScheme) -> np.ndarray:
@@ -103,33 +111,11 @@ def block_indices(bits, scheme: EncodingScheme) -> np.ndarray:
     return bits.reshape(bits.shape[:-1] + (-1, step)) @ scheme._place_values
 
 
-def decode_block(state: qstate.PureState, theta: int, scheme: EncodingScheme) -> tuple:
-    """Recover a block's bits given its basis index (bijectivity helper)."""
-    column_overlaps = np.abs(scheme.family().bases[theta].conj().T @ state.amplitudes) ** 2
-    value = int(np.argmax(column_overlaps))
-    return int_to_bits(value, scheme.value_bits) + int_to_bits(theta, scheme.basis_bits)
-
-
 def encode_half(bits, scheme: EncodingScheme) -> list:
     """Block states of a half's bits: the wire form, one fresh PureState per block."""
     family = scheme.family()
     blocks = block_indices(bits, scheme).tolist()
     return [family.basis_state(theta, value) for value, theta in blocks]
-
-
-class HpufDevice:
-    """Classical PUF plus its block encoding scheme; ``encode_half`` of a half of
-    its response gives that half's fresh block states."""
-
-    def __init__(self, cpuf: CpufModel, scheme: EncodingScheme):
-        if cpuf.out_bits % (2 * scheme.bits_per_block) != 0:
-            raise ValueError("CPUF output width must be divisible by 2 * bits_per_block")
-        self.cpuf = cpuf
-        self.scheme = scheme
-
-    @property
-    def half_bit_count(self) -> int:
-        return self.cpuf.out_bits // 2
 
 
 def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:
@@ -147,31 +133,29 @@ def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Genera
 
 
 class HlpufDevice:
-    """Lock-gated HPUF: verify incoming first-half states, then release the second half.
+    """A CPUF, its block encoding, and the lock: verify incoming first-half states,
+    then release the second half (``encode_half`` of each half gives its states).
 
     ``query_log`` counts lock-passing evaluations and is the device's only
     mutable field.
     """
 
-    def __init__(self, hpuf: HpufDevice):
-        self.hpuf = hpuf
+    def __init__(self, cpuf: CpufModel, scheme: EncodingScheme):
+        self.cpuf = cpuf
+        self.scheme = scheme
+        self.half_bits = scheme.half_bits(cpuf.out_bits)
         self.query_log = 0
-
-    @property
-    def scheme(self) -> EncodingScheme:
-        return self.hpuf.scheme
 
     def lock_query(self, x, incoming, rng: np.random.Generator):
         """Second-half states if the incoming first half verifies, else ABORT.
 
         Wrong arity or wrong block dimension counts as failed verification.
         """
-        y = self.hpuf.cpuf.eval(x)
-        half = self.hpuf.half_bit_count
-        if not _verify_blocks(y[:half], incoming, self.scheme, rng):
+        y = self.cpuf.eval(x)
+        if not _verify_blocks(y[:self.half_bits], incoming, self.scheme, rng):
             return ABORT
         self.query_log += 1
-        return encode_half(y[half:], self.scheme)
+        return encode_half(y[self.half_bits:], self.scheme)
 
 
 def server_verify(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:

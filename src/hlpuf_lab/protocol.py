@@ -50,10 +50,8 @@ class ServerState:
 
     def __init__(self, db: CrpDatabase, scheme: EncodingScheme,
                  rng: np.random.Generator, reuse_cap: int | None = None):
-        if db.responses.shape[1] % (2 * scheme.bits_per_block):
-            raise ValueError("responses must split into two halves of whole blocks")
         self.db = db
-        self.half_bits = db.responses.shape[1] // 2
+        self.half_bits = scheme.half_bits(db.responses.shape[1])
         self.scheme = scheme
         self.rng = rng
         self.reuse_cap = reuse_cap

@@ -199,23 +199,19 @@ def _draw(cdf, rng: np.random.Generator) -> int:
 class MubFamily:
     """A list of pairwise mutually unbiased orthonormal bases of one dimension.
 
-    A validated family also builds, once, ``columns[theta, value]`` (the
-    amplitudes of every basis state) and the Born CDF of every column in every
-    basis of the family, so that family states are neither re-validated nor
-    re-measured through the kernel.
+    The constructor refuses an invalid family, then builds, once,
+    ``columns[theta, value]`` (the amplitudes of every basis state) and the
+    Born CDF of every column in every basis of the family, so that family
+    states are neither re-validated nor re-measured through the kernel.
     """
 
     __slots__ = ("dim", "bases", "columns", "_adjoints", "_cdfs")
 
-    def __init__(self, dim: int, bases, validate: bool = True):
+    def __init__(self, dim: int, bases):
         self.dim = dim
         self.bases = [np.asarray(b, dtype=complex) for b in bases]
         for b in self.bases:
             b.setflags(write=False)
-        # None below marks an unchecked family
-        self.columns = self._adjoints = self._cdfs = None
-        if not validate:
-            return
         errs = self.check()
         if errs:
             raise ValueError("; ".join(errs))
@@ -249,8 +245,6 @@ class MubFamily:
 
     def measure(self, state: PureState, theta: int, rng: np.random.Generator) -> int:
         """``measure(state, self.bases[theta], rng)``'s outcome, trusting the build-time check."""
-        if self._adjoints is None:
-            raise ValueError("family was built without validation; use qstate.measure")
         cdfs = self._cdfs.get(state.amplitudes.tobytes())
         if cdfs is None:  # not a family state
             return _draw(_born_cdf(self._adjoints[theta], state.amplitudes), rng)
@@ -258,8 +252,6 @@ class MubFamily:
 
     def basis_state(self, theta: int, index: int) -> PureState:
         """Column ``index`` of basis ``theta`` as a new PureState object."""
-        if self.columns is None:
-            return PureState(self.bases[theta][:, index])
         return PureState._wrap(self.columns[theta, index])
 
 

@@ -13,7 +13,7 @@ from hlpuf_lab import analytics, cli, protocol, qstate
 from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, multi_copy_extract,
                                  run_unforgeability_game, split_attack_extract)
 from hlpuf_lab.cpuf import CpufModel, random_challenges
-from hlpuf_lab.hybrid import BB84, MUB8, HlpufDevice, HpufDevice
+from hlpuf_lab.hybrid import BB84, MUB8, HlpufDevice
 from hlpuf_lab.seeding import derive_rng
 
 HELSTROM = 0.5 + 0.5 / np.sqrt(2.0)
@@ -179,7 +179,7 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     ch = random_challenges(16, 100, derive_rng(9107))
     db = CrpDatabase(ch, model.eval_batch(ch))
     server = protocol.ServerState(db, BB84, derive_rng(9108))
-    device = HlpufDevice(HpufDevice(model, BB84))
+    device = HlpufDevice(model, BB84)
     rng = derive_rng(9109)
     honest = protocol.run_session(server, device, protocol.ChannelAdversary(rng), 100, rng)
     assert honest.rounds_completed == 100
@@ -191,7 +191,7 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     ch2 = random_challenges(16, rounds, derive_rng(9111))
     db2 = CrpDatabase(ch2, model2.eval_batch(ch2))
     server2 = protocol.ServerState(db2, BB84, derive_rng(9112))
-    device2 = HlpufDevice(HpufDevice(model2, BB84))
+    device2 = HlpufDevice(model2, BB84)
     adv = protocol.InterceptResendAdversary(derive_rng(9113))
     session = protocol.run_session(server2, device2, adv, rounds, derive_rng(9114))
     expected = 0.75 ** (2 * m)
@@ -215,7 +215,7 @@ def test_criterion_7_reuse_audit():
         ch = random_challenges(16, 24, derive_rng(9201, m))
         db = CrpDatabase(ch, model.eval_batch(ch))
         server = protocol.ServerState(db, BB84, derive_rng(9202, m), reuse_cap=16)
-        device = HlpufDevice(HpufDevice(model, BB84))
+        device = HlpufDevice(model, BB84)
         adv = protocol.PassiveObserver(derive_rng(9203, m))
         session = protocol.run_session(server, device, adv, 300, derive_rng(9204, m))
         assert session.audit_total > 0

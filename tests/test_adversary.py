@@ -131,7 +131,7 @@ def reference_sample(attack, value_p, basis_p, index, rng):
 def reference_mc_counts(scheme, m, p, q, trials, rng, prior_bases=None):
     """(success_counts, response rate) of mc_extract_rate's draws through reference_sample."""
     attack = SplitAttack(scheme, p=p, prior_bases=prior_bases)
-    shape = (trials, q, m // scheme.qubits_per_block)
+    shape = (trials, q, scheme.blocks(m))
     if scheme.kind == "bb84":
         values = (rng.random(shape) >= p).astype(np.int64)
         thetas = (rng.random(shape) >= p).astype(np.int64)
@@ -493,7 +493,7 @@ class TestLrTrain:
 
     def test_one_k2_step_follows_the_analytic_gradient(self):
         # 90 training rows fit one batch, so one epoch is one RProp step from the
-        # initial weights, whose step sizes are all step_init (no previous gradient)
+        # initial weights, whose step sizes are all _STEP_INIT (no previous gradient)
         n, q, seed = 10, 100, 4
         truth = CpufModel.xor_arbiter(n, 2, 1, 94)
         ch = random_challenges(n, q, derive_rng(94))
@@ -512,7 +512,7 @@ class TestLrTrain:
         grad = np.stack([np.mean(((y - p_one) * d[:, 1 - l])[:, None] * phi, axis=0)
                          for l in (0, 1)])
         assert np.min(np.abs(grad)) > 1e-6  # every sign is decided
-        assert np.array_equal(model.weights, w0 - np.sign(grad) * cfg.step_init)
+        assert np.array_equal(model.weights, w0 - np.sign(grad) * adversary._STEP_INIT)
 
     @pytest.mark.parametrize("changes", [{"epochs": 0}, {"restarts": 0}])
     def test_needs_an_epoch_and_a_restart(self, changes):
@@ -526,7 +526,7 @@ def reference_lr_train(db, target, k, config):
     phi = transform_batch(db.challenges)
     y = db.responses[:, target].astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0x7FFFFFFF, 0x10C157]))
-    n_val = max(1, int(round(config.val_fraction * len(y))))
+    n_val = max(1, int(round(adversary._VAL_FRACTION * len(y))))
     perm = rng.permutation(len(y))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     phi_v, y_v = phi[val_idx], y[val_idx]
@@ -534,7 +534,7 @@ def reference_lr_train(db, target, k, config):
     best_w, best_acc, diverged = None, -1.0, False
     for _ in range(config.restarts):
         w = rng.normal(0.0, 1.0, size=(k, phi.shape[1]))
-        step = np.full_like(w, config.step_init)
+        step = np.full_like(w, adversary._STEP_INIT)
         prev_g = np.zeros_like(w)
         restart_best_w, restart_best_acc, stall = w.copy(), -1.0, 0
         for _epoch in range(config.epochs):
@@ -551,9 +551,10 @@ def reference_lr_train(db, target, k, config):
                         np.prod(np.delete(d, l, axis=1), axis=1)
                     grad[l] = -(err * others) @ pb / len(idx)
                 agree = grad * prev_g
-                step = np.where(agree > 0, np.minimum(step * config.step_up, config.step_max),
-                                np.where(agree < 0, np.maximum(step * config.step_down,
-                                                               config.step_min), step))
+                step = np.where(agree > 0, np.minimum(step * adversary._STEP_UP,
+                                                      adversary._STEP_MAX),
+                                np.where(agree < 0, np.maximum(step * adversary._STEP_DOWN,
+                                                               adversary._STEP_MIN), step))
                 grad = np.where(agree < 0, 0.0, grad)
                 w = w - np.sign(grad) * step
                 prev_g = grad
@@ -673,32 +674,23 @@ class TestGame:
     def test_probe_without_valid_half_never_opens_lock(self):
         # p=1 device: first half is |0>...|0>, so orthogonal |1> probes are
         # rejected deterministically and the lock releases nothing
-        from hlpuf_lab.hybrid import ABORT, HlpufDevice, HpufDevice
+        from hlpuf_lab.hybrid import ABORT, HlpufDevice
         rng = derive_rng(83)
-        device = HlpufDevice(HpufDevice(CpufModel.ideal(8, 8, 1.0, 9), BB84))
+        device = HlpufDevice(CpufModel.ideal(8, 8, 1.0, 9), BB84)
         for _ in range(30):
             x = rng.integers(0, 2, size=8, dtype=np.uint8)
             probe = [qstate.bb84_state(1, 0), qstate.bb84_state(1, 0)]
             assert device.lock_query(x, probe, rng) is ABORT
         assert device.query_log == 0
 
-    def test_direct_probe_opens_an_mub4_lock(self, monkeypatch):
+    def test_direct_probe_opens_an_mub4_lock(self):
         # p=1 device: every first-half block is basis 0, value 0, which is the probe,
         # so each probe of one whole mub4 block passes the lock
-        from hlpuf_lab import adversary
-        from hlpuf_lab.hybrid import HlpufDevice, HpufDevice
-        locks = []
-
-        class RecordedLock(HlpufDevice):
-            def __init__(self, hpuf):
-                super().__init__(hpuf)
-                locks.append(self)
-
-        monkeypatch.setattr(adversary, "HlpufDevice", RecordedLock)
-        device = HpufDevice(CpufModel.ideal(8, 8, 1.0, 9), MUB4)
+        from hlpuf_lab.hybrid import HlpufDevice
+        device = HlpufDevice(CpufModel.ideal(8, 8, 1.0, 9), MUB4)
         probe = adversary.STRATEGIES["direct_probe"].learners["hlpuf"]
         probe(device, 12, GameConfig(n=8, m=2, scheme_kind="mub4"), derive_rng(96))
-        assert [lock.query_log for lock in locks] == [12]
+        assert device.query_log == 12
 
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -713,6 +705,7 @@ class TestGame:
     ("hpuf", "direct_probe", 2, {}),
     ("no_such_target", "uniform_guess", 2, {}),
     ("hpuf", "measure_forge_multicopy", 2, {"scheme_kind": "mub4", "m": 2}),
+    ("hpuf", "measure_forge", 2, {"scheme_kind": "mub4", "m": 3}),
 ])
 def test_game_inputs_checked_before_any_device(monkeypatch, target, strategy, trials,
                                                changes):

@@ -9,7 +9,7 @@ from hlpuf_lab.analytics import (binary_entropy, binomial_tail,
                                  forge_bound, mc_extract_rate, minentropy_bound,
                                  p_extract_bound, p_guess_bound,
                                  reuse_bound)
-from hlpuf_lab.hybrid import BB84
+from hlpuf_lab.hybrid import BB84, MUB4, MUB8
 from hlpuf_lab.seeding import derive_rng
 
 
@@ -186,6 +186,14 @@ class TestMcExtractRate:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="at least 1"):
             mc_extract_rate(BB84, m, 0.5, q, trials, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("scheme,m", [(MUB4, 3), (MUB8, 4)])
+    def test_partial_blocks_rejected_before_any_draw(self, scheme, m):
+        rng = derive_rng(96)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="positive multiple"):
+            mc_extract_rate(scheme, m, 0.5, 10, 10, rng)
         assert rng.bit_generator.state == state
 
     def test_traced_peak_per_block(self):

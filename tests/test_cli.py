@@ -552,7 +552,7 @@ class TestAttackCurveCommand:
 
     @pytest.mark.parametrize("curve_seeds", ["1", "3"])
     def test_thread_pool_matches_serial_for_any_seed_count(self, tmp_path, curve_seeds):
-        # one pool task per curve seed: fewer seeds than workers, or more
+        # one task per curve seed: one seed runs serially, three run on a pool of two
         base = ["attack-curve", "--seed", "24", "--n", "10", "--k", "1",
                 "--q-grid", "0,90", "--curve-seeds", curve_seeds, "--test-size", "600",
                 "--epochs", "10", "--restarts", "1"]
@@ -560,6 +560,34 @@ class TestAttackCurveCommand:
         assert run(base + ["--out", str(serial)]) == 0
         assert run(base + ["--out", str(threaded), "--threads", "2"]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_pool_starts_no_more_workers_than_curve_seeds(self, tmp_path, monkeypatch):
+        # a pool launches every worker on its first task, so idle workers cost a process each
+        pools = []
+
+        class RecordingPool:
+            """Records its worker count and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_curve_task", lambda task: [])
+        base = ["attack-curve", "--seed", "26", "--threads", "64",
+                "--out", str(tmp_path / "c.csv")]
+        assert run(base + ["--curve-seeds", "2"]) == 0
+        assert pools == [2]
+        assert run(base + ["--curve-seeds", "1"]) == 0
+        assert pools == [2]  # one task runs serially, with no pool
 
     def test_each_curve_seed_evaluates_and_transforms_once(self, tmp_path, monkeypatch):
         calls = {"eval_batch": 0, "transform_batch": 0}

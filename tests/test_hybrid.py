@@ -12,10 +12,9 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def make_device(scheme=BB84, m_qubits=2, n=16, seed=7, p=0.5):
-    blocks = m_qubits // scheme.qubits_per_block
-    out_bits = 2 * blocks * scheme.bits_per_block
+    out_bits = 2 * scheme.blocks(m_qubits) * scheme.bits_per_block
     model = CpufModel.ideal(n, out_bits, p, seed)
-    return hybrid.HlpufDevice(hybrid.HpufDevice(model, scheme))
+    return hybrid.HlpufDevice(model, scheme)
 
 
 def match_probability_oracle(probe: qstate.PureState, scheme) -> float:
@@ -33,10 +32,10 @@ def match_probability_oracle(probe: qstate.PureState, scheme) -> float:
 
 
 def halves(device, x):
-    """(first-half states, second-half states) of an HPUF on challenge x: one CPUF
+    """(first-half states, second-half states) of a device on challenge x: one CPUF
     evaluation, each half block-encoded."""
     y = device.cpuf.eval(x)
-    half = device.half_bit_count
+    half = device.half_bits
     return hybrid.encode_half(y[:half], device.scheme), hybrid.encode_half(y[half:], device.scheme)
 
 
@@ -70,13 +69,15 @@ class TestEncodeBlock:
             hybrid.encode_half((0, 1, 0), BB84)
 
     def test_bijectivity_all_schemes(self):
+        # measuring an encoded block in the basis its bits name gives back its value
+        rng = derive_rng(54)
         for scheme in (BB84, MUB4, MUB8):
             for value in range(2 ** scheme.value_bits):
                 for theta in range(scheme.bases_used):
-                    bits = hybrid.int_to_bits(value, scheme.value_bits) + \
-                        hybrid.int_to_bits(theta, scheme.basis_bits)
+                    bits = np.concatenate([hybrid.int_to_bits(value, scheme.value_bits),
+                                           hybrid.int_to_bits(theta, scheme.basis_bits)])
                     state = encode_block(bits, scheme)
-                    assert hybrid.decode_block(state, theta, scheme) == bits
+                    assert scheme.family().measure(state, theta, rng) == value
 
     def test_block_indices_match_the_scalar_layout(self):
         # scalar reference of the documented layout: per block, value bits then
@@ -104,18 +105,18 @@ class TestEncodeBlock:
 
 class TestHpufEval:
     def test_half_sizes_bb84(self):
-        device = make_device(BB84, m_qubits=2).hpuf  # out_bits = 8
+        device = make_device(BB84, m_qubits=2)  # out_bits = 8
         first, second = halves(device, np.zeros(16, dtype=np.uint8))
         assert len(first) == 2 and len(second) == 2
 
     def test_ideal_p1_gives_all_zero_states(self):
-        device = hybrid.HpufDevice(CpufModel.ideal(8, 8, 1.0, 3), BB84)
+        device = hybrid.HlpufDevice(CpufModel.ideal(8, 8, 1.0, 3), BB84)
         first, second = halves(device, np.zeros(8, dtype=np.uint8))
         for s in first + second:
             assert same_state(s, qstate.bb84_state(0, 0))
 
     def test_repeat_calls_identical_but_fresh(self):
-        device = make_device().hpuf
+        device = make_device()
         x = derive_rng(40).integers(0, 2, size=16, dtype=np.uint8)
         f1, s1 = halves(device, x)
         f2, s2 = halves(device, x)
@@ -125,7 +126,7 @@ class TestHpufEval:
 
     def test_rejects_indivisible_width(self):
         with pytest.raises(ValueError):
-            hybrid.HpufDevice(CpufModel.ideal(8, 6, 0.5, 1), BB84)
+            hybrid.HlpufDevice(CpufModel.ideal(8, 6, 0.5, 1), BB84)
 
 
 class TestLockQuery:
@@ -134,7 +135,7 @@ class TestLockQuery:
         device = make_device(m_qubits=4)
         for _ in range(50):
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            first, second = halves(device.hpuf, x)
+            first, second = halves(device, x)
             out = device.lock_query(x, first, rng)
             assert out is not ABORT
             assert len(out) == len(second)
@@ -145,9 +146,9 @@ class TestLockQuery:
         rng = derive_rng(53)
         device = make_device(m_qubits=4)
         x = rng.integers(0, 2, size=16, dtype=np.uint8)
-        first, second = halves(device.hpuf, x)
+        first, second = halves(device, x)
         out1 = device.lock_query(x, first, rng)
-        out2 = device.lock_query(x, halves(device.hpuf, x)[0], rng)
+        out2 = device.lock_query(x, halves(device, x)[0], rng)
         assert type(out1) is list and out1
         assert all(type(s) is qstate.PureState for s in out1)
         assert len({id(s) for s in out1 + out2 + first + second}) == 4 * len(out1)
@@ -157,7 +158,7 @@ class TestLockQuery:
         rng = derive_rng(43)
         device = make_device(m_qubits=2)
         x = np.zeros(16, dtype=np.uint8)
-        first, _ = halves(device.hpuf, x)
+        first, _ = halves(device, x)
         out = device.lock_query(x, first[:1], rng)
         assert out is ABORT
         assert not out  # falsy sentinel
@@ -195,7 +196,7 @@ class TestLockQuery:
         passes = 0
         for t in range(trials):
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            bits = device.hpuf.cpuf.eval(x)[:2]
+            bits = device.cpuf.eval(x)[:2]
             flipped = (bits[0], bits[1] ^ 1)
             probe = hybrid.encode_half(flipped, BB84)
             passes += device.lock_query(x, probe, rng) is not ABORT
@@ -226,10 +227,10 @@ class TestServerSide:
         for scheme, m_qubits in ((BB84, 2), (MUB4, 2), (MUB8, 3)):
             device = make_device(scheme, m_qubits=m_qubits)
             x = rng.integers(0, 2, size=16, dtype=np.uint8)
-            first, _second = halves(device.hpuf, x)
+            first, _second = halves(device, x)
             out = device.lock_query(x, first, rng)
             assert out is not ABORT
-            y = device.hpuf.cpuf.eval(x)
+            y = device.cpuf.eval(x)
             assert hybrid.server_verify(y[len(y) // 2:], out, scheme, rng)
 
     def test_server_verify_rejects_orthogonal(self):
@@ -253,7 +254,7 @@ class TestHonestRoundTrip:
             device = make_device(scheme, m_qubits=m_qubits)
             for _ in range(30):
                 x = rng.integers(0, 2, size=16, dtype=np.uint8)
-                y = device.hpuf.cpuf.eval(x)
+                y = device.cpuf.eval(x)
                 half = len(y) // 2
                 out = device.lock_query(x, hybrid.encode_half(y[:half], scheme), rng)
                 assert out is not ABORT

@@ -6,7 +6,7 @@ import pytest
 from hlpuf_lab import protocol, qstate
 from hlpuf_lab.adversary import CrpDatabase, intercept_resend
 from hlpuf_lab.cpuf import CpufModel, random_challenges
-from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice, HpufDevice
+from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice
 from hlpuf_lab.protocol import (ChannelAdversary, DatabaseExhausted,
                                 InterceptResendAdversary, PassiveObserver,
                                 ServerState, StoredReplayAdversary,
@@ -19,7 +19,7 @@ def make_setup(m_qubits=2, db_size=64, seed=300, n=16, reuse_cap=None):
     ch = random_challenges(n, db_size, derive_rng(seed, 1))
     db = CrpDatabase(ch, model.eval_batch(ch))
     server = ServerState(db, BB84, derive_rng(seed, 2), reuse_cap=reuse_cap)
-    device = HlpufDevice(HpufDevice(model, BB84))
+    device = HlpufDevice(model, BB84)
     return server, device
 
 
@@ -212,7 +212,7 @@ class TestAdversaries:
                 self.device = device
 
             def forward(self, x, states):
-                true_basis = self.device.hpuf.cpuf.eval(x)[1]
+                true_basis = self.device.cpuf.eval(x)[1]
                 wrong = 1 - true_basis
                 basis = (np.eye(2, dtype=complex) if wrong == 0 else
                          np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))

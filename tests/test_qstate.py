@@ -270,11 +270,6 @@ class TestFamilyMeasure:
             assert fam.measure(state, theta, b) == expected
         assert a.random() == b.random()
 
-    def test_unvalidated_family_refused(self):
-        fam = qstate.MubFamily(2, qstate.bb84_family().bases, validate=False)
-        with pytest.raises(ValueError):
-            fam.measure(qstate.bb84_state(0, 0), 0, derive_rng(20))
-
     def test_dimension_mismatch_refused(self):
         with pytest.raises(ValueError):
             qstate.mub4_family().measure(qstate.bb84_state(0, 0), 0, derive_rng(21))
@@ -354,14 +349,6 @@ class TestFamilyTables:
                 assert a is not b
                 assert not a.amplitudes.flags.writeable
                 assert a.amplitudes.tobytes() == fam.columns[theta, value].tobytes()
-
-    def test_unvalidated_family_keeps_the_checking_constructor(self):
-        fam = qstate.MubFamily(2, [np.eye(2), 2.0 * np.eye(2)], validate=False)
-        assert fam.columns is None
-        assert fam.check()
-        assert same_state(fam.basis_state(0, 1), qstate.PureState([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            fam.basis_state(1, 0)
 
 
 class TestMubFamilies:
