@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qstate
-from .cpuf import CpufModel, random_challenges, transform_batch
+from .cpuf import CpufModel, arbiter_bits, random_challenges, transform_batch
 from .hybrid import (ABORT, SCHEMES, EncodingScheme, HlpufDevice, block_indices, encode_half,
                      int_to_bits, server_verify)
 
@@ -331,7 +331,6 @@ class LrModel:
     """Product-of-thresholds model: P(bit=1 | c) = sigmoid(-prod_l <w_l, Phi(c)>)."""
 
     weights: np.ndarray  # (k, n+1)
-    config: LrConfig
     validation_accuracy: float
     diverged: bool = False
 
@@ -339,16 +338,12 @@ class LrModel:
         """Predicted bits; ``features`` is transform_batch(challenges) when the caller holds it."""
         if features is None:
             features = transform_batch(np.asarray(challenges, dtype=np.uint8))
-        return _predict(features, self.weights)
+        return arbiter_bits(features, self.weights)
 
     def accuracy(self, challenges: np.ndarray, bits: np.ndarray,
                  features: np.ndarray | None = None) -> float:
         predicted = self.predict(challenges, features)
         return float(np.mean(predicted == np.asarray(bits, dtype=np.uint8)))
-
-
-def _predict(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (np.prod(phi @ w.T, axis=1) < 0.0).astype(np.uint8)
 
 
 def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
@@ -418,7 +413,7 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
             if not np.all(np.isfinite(w)):
                 diverged = True
                 break
-            acc = float(np.mean(_predict(phi_v, w) == y_v))
+            acc = float(np.mean(arbiter_bits(phi_v, w) == y_v))
             if acc > restart_best_acc + 1e-4:
                 restart_best_acc, restart_best_w = acc, w.copy()
                 stall = 0
@@ -430,8 +425,7 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
             best_acc, best_w = restart_best_acc, restart_best_w
         if best_acc >= config.stop_validation:
             break
-    return LrModel(weights=best_w, config=config, validation_accuracy=best_acc,
-                   diverged=diverged)
+    return LrModel(weights=best_w, validation_accuracy=best_acc, diverged=diverged)
 
 
 def extraction_stats(true_responses: np.ndarray, extracted: np.ndarray) -> dict:

@@ -212,14 +212,13 @@ def _curve_task(payload):
             t0 = time.perf_counter()
             lr_seed = int(derive_rng(config.seed, 3, seed_index, mode_index,
                                      q).integers(0, 2**31 - 1))
-            lr_config = config.lr_config(lr_seed)
             if q == 0:
                 # nothing to learn from: an untrained random model guesses
                 w = np.random.default_rng(lr_seed).normal(size=(config.k, config.n + 1))
-                model = LrModel(weights=w, config=lr_config, validation_accuracy=0.5)
+                model = LrModel(weights=w, validation_accuracy=0.5)
             else:
                 db = CrpDatabase(challenges[:q], labels[:q, None])
-                model = lr_train(db, 0, config.k, lr_config, features=phi[:q])
+                model = lr_train(db, 0, config.k, config.lr_config(lr_seed), features=phi[:q])
             accuracy = model.accuracy(test_ch, test_bits, features=test_phi)
             runtime = time.perf_counter() - t0
             rows.append(AttackResult(

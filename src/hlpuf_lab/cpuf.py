@@ -1,8 +1,8 @@
 """Classical PUF emulators.
 
-Additive-delay arbiter chains, k-XOR composition, and an ideal biased random
-function, widened to multi-bit outputs by instantiating independent single-bit
-instances. Evaluation is a pure, noiseless function of (model, challenge).
+k-XOR additive-delay arbiter chains, evaluated by one kernel (arbiter_bits) that
+the modeling attack's LR model shares, and an ideal biased random function.
+Evaluation is a pure, noiseless function of (model, challenge).
 """
 
 import hashlib
@@ -27,61 +27,12 @@ def transform_batch(challenges: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ArbiterChain:
-    """Additive-delay chain: response 1 iff <weights, Phi(challenge)> < 0."""
-
-    weights: np.ndarray  # length n+1, i.i.d. standard normal when generated
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be a finite vector")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0] - 1
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "ArbiterChain":
-        return cls(rng.normal(0.0, 1.0, size=n + 1))
-
-    def delay_batch(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights
-
-
-@dataclass(frozen=True)
-class XorArbiterPuf:
-    """XOR of k arbiter chains sharing the same challenge length."""
-
-    chains: tuple
-
-    def __post_init__(self):
-        if len(self.chains) < 1:
-            raise ValueError("need k >= 1 chains")
-        if len({ch.n for ch in self.chains}) != 1:
-            raise ValueError("all chains must share the challenge length")
-
-    @property
-    def n(self) -> int:
-        return self.chains[0].n
-
-    @property
-    def k(self) -> int:
-        return len(self.chains)
-
-    @classmethod
-    def random(cls, n: int, k: int, rng: np.random.Generator) -> "XorArbiterPuf":
-        return cls(tuple(ArbiterChain.random(n, rng) for _ in range(k)))
-
-    def eval_batch(self, features: np.ndarray) -> np.ndarray:
-        prod = np.ones(features.shape[0])
-        for ch in self.chains:
-            prod *= ch.delay_batch(features)
-        return (prod < 0.0).astype(np.uint8)
+def arbiter_bits(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(N, ...) XOR-arbiter bits of (N, n+1) features under (..., k, n+1) chain
+    weights: a bit is 1 iff the product of its k delays <w_l, Phi(c)> is negative."""
+    delays = features @ weights.reshape(-1, weights.shape[-1]).T
+    delays = delays.reshape((features.shape[0],) + weights.shape[:-1])
+    return (np.prod(delays, axis=-1) < 0.0).astype(np.uint8)
 
 
 # Rows hashed per block in IdealBiasedPuf.eval: its digest and uniform scratch
@@ -142,28 +93,31 @@ class IdealBiasedPuf:
 class CpufModel:
     """A classical PUF f: {0,1}^n -> {0,1}^out_bits.
 
-    Multi-bit outputs come from out_bits independent single-bit instances with
-    distinct sub-seeds (xor_arbiter kind) or independent PRF streams (ideal
-    kind), matching the i.i.d. output-bit assumption of the analysis.
+    The out_bits output bits are independent: bit j of the xor_arbiter kind has
+    its own k chains, drawn from sub-seed j; the ideal kind hashes each bit with
+    its own PRF suffix. This matches the i.i.d. output-bit assumption of the analysis.
     """
 
     kind: str
     n: int
     out_bits: int
     seed: int
-    k: int = 1
-    p: float = 0.5
-    bits: tuple = field(default=(), repr=False)  # per-output-bit evaluators
+    weights: np.ndarray | None = field(default=None, repr=False)  # xor: (out_bits, k, n+1)
+    ideal_puf: IdealBiasedPuf | None = field(default=None, repr=False)
 
     @classmethod
     def xor_arbiter(cls, n: int, k: int, out_bits: int, seed: int) -> "CpufModel":
-        pufs = tuple(XorArbiterPuf.random(n, k, derive_rng(seed, j)) for j in range(out_bits))
-        return cls(kind=KIND_XOR, n=n, out_bits=out_bits, seed=seed, k=k, bits=pufs)
+        if k < 1:
+            raise ValueError("need k >= 1 chains")
+        weights = np.stack([derive_rng(seed, j).normal(0.0, 1.0, size=(k, n + 1))
+                            for j in range(out_bits)])
+        weights.setflags(write=False)
+        return cls(kind=KIND_XOR, n=n, out_bits=out_bits, seed=seed, weights=weights)
 
     @classmethod
     def ideal(cls, n: int, out_bits: int, p: float, seed: int) -> "CpufModel":
         puf = IdealBiasedPuf(n=n, out_bits=out_bits, p=p, seed=seed)
-        return cls(kind=KIND_IDEAL, n=n, out_bits=out_bits, seed=seed, p=p, bits=(puf,))
+        return cls(kind=KIND_IDEAL, n=n, out_bits=out_bits, seed=seed, ideal_puf=puf)
 
     def eval(self, challenge) -> np.ndarray:
         """Response bits for one challenge."""
@@ -171,9 +125,8 @@ class CpufModel:
         if c.shape != (self.n,):
             raise ValueError(f"challenge must have length {self.n}")
         if self.kind == KIND_IDEAL:
-            return self.bits[0].eval(c)
-        features = transform_batch(c[None, :])
-        return np.array([puf.eval_batch(features)[0] for puf in self.bits], dtype=np.uint8)
+            return self.ideal_puf.eval(c)
+        return arbiter_bits(transform_batch(c[None, :]), self.weights)[0]
 
     def eval_batch(self, challenges: np.ndarray,
                    features: np.ndarray | None = None) -> np.ndarray:
@@ -185,10 +138,10 @@ class CpufModel:
         if self.kind == KIND_IDEAL:
             if features is not None:
                 raise ValueError("an ideal PUF has no arbiter features")
-            return self.bits[0].eval(ch)
+            return self.ideal_puf.eval(ch)
         if features is None:
             features = transform_batch(ch)
-        return np.stack([puf.eval_batch(features) for puf in self.bits], axis=1)
+        return arbiter_bits(features, self.weights)
 
 
 def random_challenges(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

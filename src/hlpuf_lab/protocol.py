@@ -222,7 +222,6 @@ class SessionReport:
     audit_hit_rate: float | None
     audit_hits: int
     audit_total: int
-    audit_details: list
     outcomes: list
     transcript: list
 
@@ -272,7 +271,7 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
         histogram[pol.accepted_rounds] = histogram.get(pol.accepted_rounds, 0) + 1
 
     half_bits = server.half_bits
-    hits, total, details = 0, 0, []
+    hits, total = 0, 0
     for idx, pol in enumerate(server.policy):
         if pol.accepted_rounds < 2:
             continue
@@ -281,11 +280,8 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
         if guess is None:
             continue
         truth = server.db.responses[idx][:half_bits]
-        hit = bool(np.array_equal(np.asarray(guess, dtype=np.uint8), truth))
-        hits += int(hit)
+        hits += int(np.array_equal(np.asarray(guess, dtype=np.uint8), truth))
         total += 1
-        details.append({"challenge_index": idx, "reuses": pol.accepted_rounds - 1,
-                        "hit": hit})
     rate = hits / total if total else None
 
     return SessionReport(
@@ -298,7 +294,6 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
         audit_hit_rate=rate,
         audit_hits=hits,
         audit_total=total,
-        audit_details=details,
         outcomes=outcomes,
         transcript=transcript,
     )

@@ -6,7 +6,7 @@ import pytest
 
 from hlpuf_lab import adversary, qstate
 from hlpuf_lab.analytics import mc_extract_rate
-from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, SplitAttack,
+from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, LrModel, SplitAttack,
                                  extraction_stats, intercept_resend, lr_train,
                                  multi_copy_extract, multi_copy_extract_batch,
                                  run_unforgeability_game, split_attack_extract,
@@ -402,6 +402,14 @@ class TestLrTrain:
                                             batch_size=1024, stop_validation=0.997))
         assert model.accuracy(test_ch, test_bits) >= 0.98
         assert not model.diverged
+
+    def test_device_weights_are_an_exact_model(self):
+        # the LR model and the device share one arbiter kernel: a model holding
+        # bit j's chain weights reproduces bit j
+        device = CpufModel.xor_arbiter(24, 3, 2, 88)
+        ch = random_challenges(24, 5000, derive_rng(88, 1))
+        model = LrModel(weights=device.weights[1], validation_accuracy=1.0)
+        assert model.accuracy(ch, device.eval_batch(ch)[:, 1]) == 1.0
 
     def test_deterministic_per_seed(self):
         db, _, _ = self._clean_db(12, 1, 800, 72)

@@ -22,6 +22,22 @@ def per_bit_hash_bits(challenges, out_bits, p, seed):
     return bits
 
 
+def per_chain_bits(features, weights):
+    """Reference xor_arbiter CPUF: bit j is 1 iff the product over its chains l of
+    features @ weights[j, l] is negative, one chain's delays at a time."""
+    bits = np.empty((len(features), len(weights)), dtype=np.uint8)
+    for j, chains in enumerate(weights):
+        prod = np.ones(len(features))
+        for w in chains:
+            prod *= features @ w
+        bits[:, j] = prod < 0.0
+    return bits
+
+
+def digest(bits):
+    return hashlib.sha256(bits.tobytes()).hexdigest()
+
+
 def features(challenge):
     """transform_batch of a one-row array."""
     return cpuf.transform_batch(np.asarray([challenge]))[0]
@@ -64,10 +80,9 @@ class TestEval:
 
     def test_constant_only_chain_responds_zero(self):
         # weights (0,...,0,1): inner product is always 1 > 0, so the bit is 0
-        weights = np.zeros(9)
-        weights[-1] = 1.0
-        model = cpuf.CpufModel(kind=cpuf.KIND_XOR, n=8, out_bits=1, seed=0,
-                               bits=(cpuf.XorArbiterPuf((cpuf.ArbiterChain(weights),)),))
+        weights = np.zeros((1, 1, 9))
+        weights[..., -1] = 1.0
+        model = cpuf.CpufModel(kind=cpuf.KIND_XOR, n=8, out_bits=1, seed=0, weights=weights)
         ch = cpuf.random_challenges(8, 200, derive_rng(24))
         assert not np.any(model.eval_batch(ch))
 
@@ -75,6 +90,10 @@ class TestEval:
         model = cpuf.CpufModel.xor_arbiter(16, 1, 1, 1)
         with pytest.raises(ValueError):
             model.eval(np.zeros(10, dtype=np.uint8))
+
+    def test_needs_a_chain(self):
+        with pytest.raises(ValueError):
+            cpuf.CpufModel.xor_arbiter(16, 0, 1, 1)
 
     def test_ideal_matches_per_bit_hash(self):
         # oracle: bit j is 1 iff blake2b(packed challenge + j as 4 little-endian
@@ -88,7 +107,7 @@ class TestEval:
             for j in range(48):
                 h = hashlib.blake2b(packed + j.to_bytes(4, "little"), key=key, digest_size=8)
                 uniforms[i, j] = int.from_bytes(h.digest(), "little") / 2.0**64
-            assert np.array_equal(model.bits[0]._uniforms(c), uniforms[i])
+            assert np.array_equal(model.ideal_puf._uniforms(c), uniforms[i])
         expected = (uniforms >= 0.73).astype(np.uint8)
         assert np.array_equal(model.eval_batch(ch), expected)
         assert np.array_equal(model.eval(ch[0]), expected[0])
@@ -115,6 +134,34 @@ class TestEval:
         ch = cpuf.random_challenges(16, 10, derive_rng(30))
         with pytest.raises(ValueError):
             model.eval_batch(ch, features=cpuf.transform_batch(ch))
+
+
+class TestArbiterKernel:
+    """arbiter_bits is the one product-of-delays rule: the device's chains and the
+    modeling attack's LR model both evaluate through it."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("out_bits", [1, 3])
+    def test_matches_per_chain_reference(self, k, out_bits):
+        model = cpuf.CpufModel.xor_arbiter(32, k, out_bits, 600 + k)
+        ch = cpuf.random_challenges(32, 20000, derive_rng(34, k, out_bits))
+        phi = cpuf.transform_batch(ch)
+        got = cpuf.arbiter_bits(phi, model.weights)
+        assert got.dtype == np.uint8 and got.shape == (20000, out_bits)
+        assert digest(got) == digest(per_chain_bits(phi, model.weights))
+        assert digest(model.eval_batch(ch)) == digest(got)
+        # an LR model's (k, n+1) weights give one bit per row
+        assert digest(cpuf.arbiter_bits(phi, model.weights[-1])) == digest(got[:, -1])
+
+    @pytest.mark.parametrize("k, n", [(1, 16), (2, 32), (3, 64)])
+    def test_weights_are_successive_chain_draws(self, k, n):
+        # bit j's k chains are k successive normal(0, 1, n+1) draws from sub-seed j
+        model = cpuf.CpufModel.xor_arbiter(n, k, 3, 70 + k)
+        assert model.weights.shape == (3, k, n + 1) and not model.weights.flags.writeable
+        for j in range(3):
+            rng = derive_rng(70 + k, j)
+            expected = [rng.normal(0.0, 1.0, n + 1) for _ in range(k)]
+            assert np.array_equal(model.weights[j], np.stack(expected))
 
 
 class TestIdealKernel:
@@ -182,9 +229,9 @@ class TestStatistics:
         # negating one chain's weights flips every response bit, so all
         # distribution statistics (e.g. the max-frequency bias) are invariant
         base = cpuf.CpufModel.xor_arbiter(16, 2, 1, 321)
-        chains = base.bits[0].chains
-        negated = replace(base, bits=(cpuf.XorArbiterPuf(
-            (cpuf.ArbiterChain(-chains[0].weights), chains[1])),))
+        weights = base.weights.copy()
+        weights[0, 0] *= -1.0
+        negated = replace(base, weights=weights)
         ch = cpuf.random_challenges(16, 50000, derive_rng(27))
         assert np.array_equal(base.eval_batch(ch), 1 - negated.eval_batch(ch))
 
