@@ -45,20 +45,37 @@ class CrpDatabase:
 _CHUNK = 1 << 15
 
 
-def _chunks(n: int):
-    """(lo, hi) bounds of the ``_CHUNK``-sized pieces covering n flat items, in order."""
-    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+def _chunks(n: int, width: int = 1):
+    """(lo, hi) pieces of n items of ``width`` flat items: ``_CHUNK`` flat ones, or one item."""
+    step = max(1, _CHUNK // width)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def uniform_at_least(p: float, shape, rng: np.random.Generator) -> np.ndarray:
-    """``rng.random(shape) >= p`` as bools, drawn chunk by chunk in the same stream order."""
-    flags = np.empty(shape, dtype=bool)
-    flat = flags.reshape(-1)
-    u = np.empty(min(flat.size, _CHUNK))
-    for lo, hi in _chunks(flat.size):
-        rng.random(out=u[:hi - lo])
-        np.greater_equal(u[:hi - lo], p, out=flat[lo:hi])
-    return flags
+def _positioned(rng: np.random.Generator, spans: int, n: int) -> list:
+    """``spans`` generators, the s-th reading ``rng``'s 64-bit outputs s*n ... s*n + n - 1
+    past its current state; ``rng`` then moves past all spans * n of them."""
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError(f"the split-attack sampler positions a PCG64 stream, "
+                         f"not {type(bitgen).__name__}")
+    entry = bitgen.state
+    streams = []
+    for s in range(spans):
+        copy = np.random.PCG64(0)  # a fixed seed, overwritten: no OS entropy is read
+        copy.state = entry
+        streams.append(np.random.Generator(copy.advance(s * n)))
+    # advance drops the buffered 32-bit half, which a later rng.integers reads first
+    bitgen.state = {**bitgen.advance(spans * n).state,
+                    "has_uint32": entry["has_uint32"], "uinteger": entry["uinteger"]}
+    return streams
+
+
+def _scratch(n: int) -> tuple:
+    """The sampler's chunk buffers for n blocks (uniforms, indices, probabilities, outcomes,
+    prefixes); reused across a call's pieces, as fresh ones fault their pages in again."""
+    size = min(n, _CHUNK)
+    return (np.empty(size), np.empty(size, dtype=np.intp), np.empty(size),
+            np.empty(size, dtype=bool), np.empty(size, dtype=np.intp))
 
 
 class SplitAttack:
@@ -166,49 +183,51 @@ class SplitAttack:
         basis_t = None if basis_p is None else basis_p.reshape(2, n_theta, self.n_values)
         return value_t, basis_t
 
-    def _sample(self, value_p, basis_p, code: np.ndarray, rng: np.random.Generator):
+    def _sample(self, value_p, basis_p, code: np.ndarray, rng):
         """Stagewise guesses of the blocks ``code``: outcome 1 when u < P(1).
 
         Each stage array is read raveled at ``prefix * width + code``, width
-        being its size per prefix. Every stage walks the flat blocks in
-        ``_CHUNK``-sized pieces and finishes before the next one starts, so
-        the uniforms come off the stream in the same order as one whole-array
-        draw per stage. Returns (guessed value ints as intp, guessed theta as
-        bool with a basis stage, else uniform int64 draws).
+        being its size per prefix. Stage s of a call over N blocks draws the
+        uniforms s*N ... s*N + N - 1 of the PCG64 ``rng``, as stage-major
+        whole-array draws would, from its own positioned copy; so every stage
+        runs on one ``_CHUNK``-sized piece before the next. A caller walking a
+        larger call in pieces passes (positioned stage generators, ``_scratch``)
+        as ``rng``. Returns (value ints as uint8, theta as bool with a basis
+        stage, else uniform int64 draws from ``rng`` after all stages).
         """
         flat = code.reshape(-1)
         n = flat.size
-        u = np.empty(min(n, _CHUNK))
-        at = np.empty(len(u), dtype=np.intp)
-        p_at = np.empty(len(u))
-        bit = np.empty(len(u), dtype=bool)
-        prefix = np.zeros(n, dtype=np.intp)
+        streams, (u, at, p_at, bit, prefix) = (
+            (_positioned(rng, len(value_p) + (basis_p is not None), n), _scratch(n))
+            if isinstance(rng, np.random.Generator) else rng)
+        value = np.empty(n, dtype=np.uint8)
+        theta = None if basis_p is None else np.empty(n, dtype=bool)
 
-        def draw(p, lo, hi, out):
+        def draw(p, g, lo, hi, out):
             k = hi - lo
-            rng.random(out=u[:k])
-            np.multiply(prefix[lo:hi], p[0].size, out=at[:k])
+            g.random(out=u[:k])
+            np.multiply(prefix[:k], p[0].size, out=at[:k])
             np.add(at[:k], flat[lo:hi], out=at[:k])
             p.ravel().take(at[:k], out=p_at[:k])
             np.less(u[:k], p_at[:k], out=out)
 
-        for p in value_p:
-            for lo, hi in _chunks(n):
-                draw(p, lo, hi, bit[:hi - lo])
-                prefix[lo:hi] <<= 1
-                prefix[lo:hi] |= bit[:hi - lo]
-        if basis_p is None:
-            theta = rng.integers(0, self.scheme.bases_used, size=code.shape)
-        else:
-            theta = np.empty(n, dtype=bool)
-            for lo, hi in _chunks(n):
-                draw(basis_p, lo, hi, theta[lo:hi])
-            theta = theta.reshape(code.shape)
-        return prefix.reshape(code.shape), theta
+        for lo, hi in _chunks(n):
+            k = hi - lo
+            prefix[:k] = 0
+            for p, g in zip(value_p, streams):
+                draw(p, g, lo, hi, bit[:k])
+                prefix[:k] <<= 1
+                prefix[:k] |= bit[:k]
+            if basis_p is not None:
+                draw(basis_p, streams[-1], lo, hi, theta[lo:hi])
+            value[lo:hi] = prefix[:k]
+        if theta is None:
+            theta = rng.integers(0, self.scheme.bases_used, size=n)
+        return value.reshape(code.shape), theta.reshape(code.shape)
 
-    def guess_blocks_vectorized(self, values: np.ndarray, thetas: np.ndarray,
-                                rng: np.random.Generator):
-        """(guessed value ints, guessed thetas) for arrays of true blocks."""
+    def guess_blocks_vectorized(self, values: np.ndarray, thetas: np.ndarray, rng):
+        """(guessed value ints, guessed thetas) for arrays of true blocks; ``rng`` as
+        in ``_sample``."""
         value_t, basis_t = self.tables
         # the largest code, 9 thetas of 8 values, is 71
         code = np.multiply(thetas, self.n_values, dtype=np.uint8, casting="unsafe")

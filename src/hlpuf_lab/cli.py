@@ -171,9 +171,9 @@ def _curve_labels(mode: str, values, thetas, config: ExperimentConfig, rng):
     if mode == "cpuf":
         return values.copy()
     if mode == "hlpuf_weak":
-        attack = _cached_attack(config.scheme, config.p, None)
+        attack = _cached_attack(BB84.kind, 0.5, None)
         value_guess, _theta_guess = attack.guess_blocks_vectorized(values, thetas, rng)
-        return value_guess.astype(np.uint8)
+        return value_guess
     if mode == "hpuf_adaptive":
         amps = BB84.family().columns[thetas, values]
         copies = np.broadcast_to(amps[:, None, :], (len(amps), config.multi_copies, 2))

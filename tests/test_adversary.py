@@ -277,6 +277,88 @@ class TestSamplerChunkBoundaries:
         self.check_mc_extract_rate(BB84, 8, 0.5, None, 101, 41)
 
 
+class TestSamplerGeneratorState:
+    """The sampler leaves the whole generator state where the stage-major reference
+    does, the buffered 32-bit half included, which ``random()`` never reads."""
+
+    CASES = [(BB84, 0.5, None), (BB84, 0.7, 1), (MUB4, 0.5, None), (MUB4, 0.5, 5),
+             (MUB8, 0.5, None), (MUB8, 0.5, 9)]
+
+    @pytest.fixture(params=[1, 7, 64, None])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(adversary, "_CHUNK", request.param)
+        return adversary._CHUNK
+
+    @staticmethod
+    def buffered_pair(seed):
+        pair = derive_rng(seed), derive_rng(seed)
+        for rng in pair:
+            rng.integers(0, 2, size=3)  # three 32-bit draws leave one half buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return pair
+
+    @staticmethod
+    def assert_same_state(got, want, rng_got, rng_want):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("scheme,p,prior", CASES)
+    def test_table_path(self, chunk, scheme, p, prior):
+        attack = SplitAttack(scheme, p=p, prior_bases=prior)
+        rng = derive_rng(140)
+        values = rng.integers(0, attack.n_values, size=(3, chunk + 5))
+        thetas = rng.integers(0, len(scheme.family()), size=(3, chunk + 5))
+        rng_got, rng_want = self.buffered_pair(141)
+        got = attack.guess_blocks_vectorized(values, thetas, rng_got)
+        want = reference_sample(attack, *attack.tables, (thetas, values), rng_want)
+        self.assert_same_state(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("scheme,p,prior", [c for c in CASES if c[1] == 0.5])
+    def test_amplitude_path(self, chunk, scheme, p, prior):
+        rng = derive_rng(142)
+        rows, dim = 2 * chunk + 5, scheme.block_dim
+        amps = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        attack = SplitAttack(scheme, prior_bases=prior)
+        rng_got, rng_want = self.buffered_pair(143)
+        got = attack.guess_amplitudes(amps, rng_got)
+        want = reference_sample(attack, *attack.p_one(amps), (np.arange(rows),), rng_want)
+        self.assert_same_state(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("scheme,p,prior", CASES)
+    def test_mc_extract_rate(self, chunk, scheme, p, prior):
+        m = 3 * scheme.qubits_per_block
+        # past one default chunk of blocks, or ragged against the small ones
+        q, trials = (11, 13) if chunk < 64 else (101, 4 * chunk // (101 * 3) + 1)
+        assert trials * q * 3 > chunk
+        rng_got, rng_want = self.buffered_pair(144)
+        res = mc_extract_rate(scheme, m, p, q, trials, rng_got, prior_bases=prior)
+        counts, rate = reference_mc_counts(scheme, m, p, q, trials, rng_want, prior)
+        self.assert_same_state((res.success_counts,), (counts,), rng_got, rng_want)
+        assert res.response_success_rate == rate
+
+    @pytest.mark.parametrize("scheme", [BB84, MUB4, MUB8])
+    def test_other_bit_generators_refused_before_any_draw(self, scheme):
+        attack = SplitAttack(scheme)
+        rng = np.random.Generator(np.random.MT19937(1))
+
+        def state():
+            s = rng.bit_generator.state["state"]
+            return s["key"].tobytes(), s["pos"]
+
+        before = state()
+        blocks = np.zeros(5, dtype=np.int64)
+        calls = (lambda: attack.guess_blocks_vectorized(blocks, blocks, rng),
+                 lambda: attack.guess_amplitudes(scheme.family().columns[0], rng),
+                 lambda: mc_extract_rate(scheme, scheme.qubits_per_block, 0.5, 3, 2, rng))
+        for call in calls:
+            with pytest.raises(ValueError, match="PCG64"):
+                call()
+            assert state() == before
+
+
 class TestSplitAttackMub8:
     def test_value_bit_accuracies_under_uniform9(self):
         rng = derive_rng(65)

@@ -197,10 +197,11 @@ class TestMcExtractRate:
         assert rng.bit_generator.state == state
 
     def test_traced_peak_per_block(self):
-        # the sampler keeps one float64 uniform buffer, one bool outcome and
-        # intp index/prefix arrays per block; with numpy 2.4.6 the traced peak
-        # was 49.0 B/block (149.5 MiB) with int64 draws and a tuple index per
-        # stage, and is 43.0 B/block (131.2 MiB) with bool draws and the flat index
+        # a whole-array sampler keeps one float64 uniform buffer, one bool
+        # outcome and intp index/prefix arrays per block; with numpy 2.4.6 the
+        # traced peak was 49.0 B/block (149.5 MiB) with int64 draws and a tuple
+        # index per stage, and 43.0 B/block (131.2 MiB) with bool draws and the
+        # flat index; test_traced_peak_is_constant_in_blocks holds today's figure
         trials, q, m = 400, 1000, 8
         mc_extract_rate(BB84, 1, 0.5, 1, 1, derive_rng(97))  # build the tables untraced
         tracemalloc.start()
@@ -212,10 +213,10 @@ class TestMcExtractRate:
         assert peak / (trials * q * m) < 45
 
     def test_traced_peak_per_block_chunked(self):
-        # each sampler stage walks the blocks in fixed chunks, so only the
-        # bool draws, the uint8 codes, the intp value guesses and the bool
-        # outcomes are full size; with numpy 2.4.6 the traced peak is 13.0 B/block
-        # (39.7 MiB)
+        # with stage-major chunks only the bool draws, the uint8 codes, the intp
+        # value guesses and the bool outcomes were full size; with numpy 2.4.6
+        # the traced peak was 13.0 B/block (39.7 MiB). Chunk-major sampling and
+        # scoring in place keep it far lower (see the next test)
         trials, q, m = 400, 1000, 8
         mc_extract_rate(BB84, 1, 0.5, 1, 1, derive_rng(97))  # build the tables untraced
         tracemalloc.start()
@@ -225,6 +226,25 @@ class TestMcExtractRate:
         finally:
             tracemalloc.stop()
         assert peak / (trials * q * m) < 20
+
+    def test_traced_peak_is_constant_in_blocks(self):
+        # each piece of whole responses is drawn, sampled and scored before the
+        # next, so only the bool score of each response (trials * q bytes) grows
+        # with the work; with numpy 2.4.6 the traced peak is 0.63 B/block (1.9 MiB)
+        # at 400 trials and about 400,000 bytes more at 800, within the 800,000
+        # bytes of the larger call's scores
+        q, m = 1000, 8
+        mc_extract_rate(BB84, 1, 0.5, 1, 1, derive_rng(97))  # build the tables untraced
+        peaks = {}
+        for trials in (400, 800):
+            tracemalloc.start()
+            try:
+                mc_extract_rate(BB84, m, 0.5, q, trials, derive_rng(97))
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] / (400 * q * m) < 1
+        assert peaks[800] - peaks[400] <= 800 * q
 
 
 class TestBinomialTail:
