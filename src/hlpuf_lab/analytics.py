@@ -2,8 +2,9 @@
 
 Probability bounds are clamped to [0, 1] with the raw value kept for
 diagnostics (they can exceed 1 at extreme bias). Binomial tails switch to
-log-space accumulation for large q so widths up to m = 128 and q = 10^6 do
-not underflow; the small-q path uses exact integer binomials so hand-pinned
+log-space accumulation for large q, with log-factorials from a 32-entry table
+and the Stirling series in numpy, so widths up to m = 128 and q = 10^6 do not
+underflow; the small-q path uses exact integer binomials so hand-pinned
 rational values reproduce bit-exactly.
 """
 
@@ -42,12 +43,25 @@ def _tail_direct(q: int, k0: int, s: float) -> float:
     return total
 
 
-def _tail_logspace(q: int, k0: int, s: float) -> float:
-    # imported here, its only use: scipy.special is most of the package's import time
-    from scipy.special import gammaln
+_LOG_FACTORIAL_TABLE = np.array([math.lgamma(n + 1.0) for n in range(32)])
 
-    ks = np.arange(k0, q + 1, dtype=np.float64)
-    log_terms = (gammaln(q + 1) - gammaln(ks + 1) - gammaln(q - ks + 1)
+
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """ln n! for n = lo ... hi: the math.lgamma table below 32, then the Stirling series
+    (Abramowitz-Stegun 6.1.41), whose first omitted term is below 3e-17 at n = 32."""
+    x = np.arange(max(lo, 32), hi + 1, dtype=np.float64)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    stirling = x * np.log(x) - x + 0.5 * np.log(2 * math.pi * x) + series
+    return np.concatenate((_LOG_FACTORIAL_TABLE[lo:hi + 1], stirling))
+
+
+def _tail_logspace(q: int, k0: int, s: float) -> float:
+    # each term's log from _log_factorials, shifted by the largest so that none underflows
+    log_k = _log_factorials(k0, q)
+    ks = np.arange(k0, q + 1)
+    log_terms = (log_k[-1] - log_k - _log_factorials(0, q - k0)[::-1]
                  + ks * math.log(s) + (q - ks) * math.log1p(-s))
     peak = float(np.max(log_terms))
     return float(math.exp(peak) * np.sum(np.exp(log_terms - peak)))
@@ -63,9 +77,8 @@ def binomial_tail(q: int, k0: int, s: float) -> float:
         return 0.0
     if s >= 1.0:
         return 1.0
-    if q <= _DIRECT_SUM_MAX_Q:
-        return _tail_direct(q, k0, s)
-    return min(1.0, _tail_logspace(q, k0, s))
+    tail = _tail_direct(q, k0, s) if q <= _DIRECT_SUM_MAX_Q else _tail_logspace(q, k0, s)
+    return min(1.0, tail)
 
 
 def extraction_threshold(q: int, eps: float) -> int:

@@ -23,7 +23,6 @@ import json
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -234,6 +233,8 @@ def cmd_attack_curve(config: ExperimentConfig) -> int:
     # one task per curve seed; a pool starts all its workers on the first task
     workers = min(config.threads, len(tasks))
     if workers > 1:
+        # imported only here: the pool pulls in multiprocessing, socket and subprocess
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_curve_task, tasks))
     else:

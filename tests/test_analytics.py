@@ -254,6 +254,16 @@ class TestBinomialTail:
         assert binomial_tail(10, 5, 0.0) == 0.0
         assert binomial_tail(10, 5, 1.0) == 1.0
 
+    @pytest.mark.parametrize("s", [0.5, 0.5625, 0.9, 0.99])
+    def test_direct_tail_never_exceeds_one(self, s):
+        # k0 = 1 sums all terms but k = 0; unclamped, the rounded sum exceeds 1 at
+        # 20 to 106 of these q for each of these s
+        assert all(binomial_tail(q, 1, s) <= 1.0 for q in range(1, analytics._DIRECT_SUM_MAX_Q + 1))
+
+    def test_clamp_at_a_rounded_up_bound(self):
+        # rounded to 1.0000000000000002 before the clamp
+        assert p_extract_bound(39, 0.9, 1, p_guess_bound(0.5).value) == 1.0
+
 
 class TestEveGuessingRespectsMinEntropy:
     @pytest.mark.parametrize("m,rounds", [(4, 6000), (8, 12000)])
@@ -292,3 +302,48 @@ class TestEveGuessingRespectsMinEntropy:
         hit_rate = eve_hits / passes
         sigma = np.sqrt(bound * (1 - bound) / passes)
         assert hit_rate <= bound + 3 * sigma
+
+
+def _exact_tails(q, s, k0s):
+    """P[Binomial(q, s) >= k0] for each k0 in big integers, s taken as its exact dyadic rational."""
+    num, den = s.as_integer_ratio()
+    hit, miss, terms = 1, (den - num)**q, []
+    for k in range(q + 1):
+        terms.append(math.comb(q, k) * hit * miss)
+        hit, miss = hit * num, miss // (den - num)
+    return [sum(terms[k0:]) / den**q for k0 in k0s]
+
+
+class TestLogspaceOracle:
+    @pytest.mark.parametrize("q", [501, 1000])
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.5625, 0.85**16, 0.9, 0.97])
+    def test_tail_matches_exact_integers(self, q, s):
+        k0s = (1, 2, q // 10, q // 3, q // 2, (2 * q) // 3, (9 * q) // 10, q - 1, q)
+        compared = 0
+        for k0, exact in zip(k0s, _exact_tails(q, s, k0s)):
+            if exact >= 1e-290:
+                assert analytics._tail_logspace(q, k0, s) == pytest.approx(exact, rel=1e-11)
+                compared += 1
+        assert compared >= 3
+
+    def test_log_factorials_match_exact_integers(self):
+        exact, factorial = [0.0], 1
+        for k in range(1, 6000):
+            factorial *= k
+            exact.append(math.log(factorial))
+        exact = np.array(exact)
+        got = analytics._log_factorials(0, 5999)
+        assert got.shape == (6000,)
+        # 0! = 1! = 1 have ln 0; the table must give that exactly
+        assert got[0] == 0.0 and got[1] == 0.0
+        rel = np.abs(got[2:] - exact[2:]) / exact[2:]
+        assert rel.max() <= 1e-15
+        # both sides of the table / series seam
+        assert rel[31 - 2] <= 1e-15 and rel[32 - 2] <= 1e-15
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (1, 1), (0, 5), (5, 31), (31, 32), (32, 33),
+                                       (20, 40), (40, 60), (900, 1000)])
+    def test_log_factorials_of_a_range(self, lo, hi):
+        got = analytics._log_factorials(lo, hi)
+        want = [math.log(math.factorial(n)) for n in range(lo, hi + 1)]
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)

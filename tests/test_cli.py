@@ -1,6 +1,11 @@
 import argparse
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -475,6 +480,30 @@ class TestBoundsCommand:
             rate, bound = float(r[8]), float(r[9])
             assert abs(rate - bound) <= 3 * (max(bound * (1 - bound), 1e-9) / 800) ** 0.5 + 0.01
 
+    def test_rounded_up_tail_is_clamped(self, tmp_path):
+        # the direct tail sums to 1.0000000000000002 here, which forge_bound refused
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--m-list", "1", "--q-grid", "39", "--eps-list", "0.9",
+                    "--out", str(out)]) == 0
+        rows = {r[0]: r for r in (ln.split(",") for ln in out.read_text().strip().split("\n")[2:])}
+        for family in ("p_extract", "forge"):
+            assert rows[family][3:5] == ["39", "0.9"]
+            assert rows[family][8:] == ["1.0", "1.0"]
+
+    def test_imports_neither_scipy_nor_multiprocessing(self, tmp_path):
+        # a fresh interpreter: this one may have imported both for other tests
+        argv = ["bounds", "--seed", "1", "--trials", "2", "--m-list", "1", "--q-grid", "1000",
+                "--out", str(tmp_path / "b.csv")]
+        script = ("import sys\n"
+                  "from hlpuf_lab import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(code, sorted({'scipy', 'multiprocessing'} & set(sys.modules)))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]"]
+
 
 class TestProtocolCommand:
     def test_honest_session_outputs(self, tmp_path):
@@ -580,7 +609,7 @@ class TestAttackCurveCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_curve_task", lambda task: [])
         base = ["attack-curve", "--seed", "26", "--threads", "64",
                 "--out", str(tmp_path / "c.csv")]
