@@ -841,3 +841,28 @@ def test_game_win_rates_pinned(target, strategy, second_only, key, rate, trial_r
     got, got_trials = run_unforgeability_game(target, strategy, 40, 3, derive_rng(*key),
                                               config, return_trial_rates=True)
     assert (got, tuple(got_trials.tolist())) == (rate, trial_rates)
+
+
+# (scheme, m, target, verify_second_half_only, rng key, rate, per-trial rates) of
+# measure_forge on the MUB schemes, whose split-attack labels guess every basis
+MUB_GAME_PINS = [
+    ("mub4", 2, "hpuf", False, (92, 0), 2 / 24, (0.125, 0.0, 0.125)),
+    ("mub4", 2, "hlpuf", False, (92, 1), 10 / 24, (0.375, 0.25, 0.625)),
+    ("mub4", 2, "hpuf", True, (92, 2), 4 / 24, (0.125, 0.375, 0.0)),
+    ("mub8", 3, "hpuf", False, (92, 3), 1 / 24, (0.0, 0.125, 0.0)),
+    ("mub8", 3, "hlpuf", False, (92, 4), 1 / 24, (0.125, 0.0, 0.0)),
+    ("mub8", 3, "hpuf", True, (92, 5), 3 / 24, (0.0, 0.125, 0.25)),
+]
+
+
+@pytest.mark.parametrize("scheme_kind,m,target,second_only,key,rate,trial_rates",
+                         MUB_GAME_PINS)
+def test_mub_measure_forge_win_rates_pinned(scheme_kind, m, target, second_only, key, rate,
+                                            trial_rates):
+    """Exact measure_forge win rates on mub4 and mub8, at PIN_CONFIG's size."""
+    config = replace(PIN_CONFIG, scheme_kind=scheme_kind, m=m,
+                     verify_second_half_only=second_only)
+    got, got_trials = run_unforgeability_game(target, "measure_forge", 40, 3,
+                                              derive_rng(*key), config,
+                                              return_trial_rates=True)
+    assert (got, tuple(got_trials.tolist())) == (rate, trial_rates)
