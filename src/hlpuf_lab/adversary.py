@@ -12,7 +12,7 @@ basis-bit error exactly 2^(1-K) on conjugate-basis states.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -261,6 +261,13 @@ def wire_amplitudes(bits, scheme: EncodingScheme) -> np.ndarray:
     return scheme.family().columns[blocks[..., 1], blocks[..., 0]]
 
 
+def _block_bits(value, theta, scheme: EncodingScheme, shape: tuple) -> np.ndarray:
+    """Bit rows (N, blocks * bits_per_block) of the (value, theta) of (N, blocks) ``shape[:2]``."""
+    bits = np.concatenate([int_to_bits(value, scheme.value_bits),
+                           int_to_bits(theta, scheme.basis_bits)], axis=-1)
+    return bits.reshape(shape[0], shape[1] * scheme.bits_per_block).astype(np.uint8)
+
+
 def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,
                          rng: np.random.Generator, prior_bases: int | None = None) -> np.ndarray:
     """Guessed bits (N, blocks * bits_per_block) of single-copy amplitudes (N, blocks, dim)."""
@@ -268,11 +275,8 @@ def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,
     amps = np.asarray(amps)
     if amps.ndim != 3 or amps.shape[2] != scheme.block_dim:
         raise ValueError("state dimension does not match the scheme")
-    rows, blocks = amps.shape[:2]
-    value, theta = attack.guess_amplitudes(amps.reshape(rows * blocks, -1), rng)
-    bits = np.concatenate([int_to_bits(value, scheme.value_bits),
-                           int_to_bits(theta, scheme.basis_bits)], axis=1)
-    return bits.reshape(rows, -1).astype(np.uint8)
+    value, theta = attack.guess_amplitudes(amps.reshape(-1, scheme.block_dim), rng)
+    return _block_bits(value, theta, scheme, amps.shape)
 
 
 def multi_copy_extract_batch(amps: np.ndarray, rng: np.random.Generator):
@@ -306,6 +310,34 @@ def multi_copy_extract(copies, rng: np.random.Generator) -> tuple:
     value, basis = multi_copy_extract_batch(
         np.array([[c.amplitudes for c in copies]]), rng)
     return int(value[0]), int(basis[0])
+
+
+# Learning routes: route(bits, scheme, copies, rng) -> the label bits a forger reads
+# from the states that encode response bits (N, out_bits), of the same shape.
+
+def _clean_route(bits, scheme, copies, rng):
+    """The classical CRPs, as the CPUF hands them out."""
+    return bits
+
+
+def _split_route(bits, scheme, copies, rng):
+    """Split-attack guesses of every block, as a single-copy eavesdropper reads the states."""
+    blocks = block_indices(bits, scheme)
+    attack = _cached_attack(scheme.kind, 0.5, None)
+    value, theta = attack.guess_blocks_vectorized(blocks[..., 0], blocks[..., 1], rng)
+    return _block_bits(value, theta, scheme, blocks.shape)
+
+
+def _multi_copy_route(bits, scheme, copies, rng):
+    """Multi-copy extraction: every evaluation of a challenge emits the same qubits."""
+    amps = wire_amplitudes(bits, scheme)
+    labels = amps.reshape(-1, 1, amps.shape[2])
+    value, basis = multi_copy_extract_batch(
+        np.broadcast_to(labels, (len(labels), copies, amps.shape[2])), rng)
+    return _block_bits(value, basis, scheme, amps.shape)
+
+
+ROUTES = {"clean": _clean_route, "split": _split_route, "multi_copy": _multi_copy_route}
 
 
 def intercept_resend(state: qstate.PureState, rng: np.random.Generator) -> tuple:
@@ -479,38 +511,16 @@ class GameConfig:
     verify_second_half_only: bool = False  # compare games on the same forgery surface
     lr: LrConfig = field(default_factory=LrConfig)
 
-    def scheme(self) -> EncodingScheme:
-        return SCHEMES[self.scheme_kind]
-
-    def out_bits(self) -> int:
-        scheme = self.scheme()
-        return 2 * scheme.blocks(self.m) * scheme.bits_per_block
-
 
 # Learning phases: learn(device, q, config, rng) -> labels CrpDatabase, or None
 # when the forger has nothing to train on. ``device`` is the trial's HlpufDevice.
 
-def _learn_clean(device, q, config, rng):
-    """q classical CRPs, as the CPUF hands them out."""
+def _learn(route: str, device, q, config, rng):
+    """q random challenges, their responses read through ``ROUTES[route]``."""
     challenges = random_challenges(config.n, q, rng)
-    return CrpDatabase(challenges, device.cpuf.eval_batch(challenges))
-
-
-def _learn_split(device, q, config, rng):
-    """Split-attack guesses of both halves' states, as a single-copy eavesdropper sees them."""
-    challenges = random_challenges(config.n, q, rng)
-    amps = wire_amplitudes(device.cpuf.eval_batch(challenges), device.scheme)
-    return CrpDatabase(challenges, split_attack_extract(amps, device.scheme, rng))
-
-
-def _learn_multi_copy(device, q, config, rng):
-    """Multi-copy extraction: every evaluation of a challenge emits the same qubits."""
-    challenges = random_challenges(config.n, q, rng)
-    amps = wire_amplitudes(device.cpuf.eval_batch(challenges), device.scheme)
-    labels = amps.reshape(-1, 1, amps.shape[2])
-    copies = np.broadcast_to(labels, (len(labels), config.multi_copies, amps.shape[2]))
-    value, basis = multi_copy_extract_batch(copies, rng)
-    return CrpDatabase(challenges, np.stack([value, basis], axis=1).reshape(q, -1))
+    labels = ROUTES[route](device.cpuf.eval_batch(challenges), device.scheme,
+                           config.multi_copies, rng)
+    return CrpDatabase(challenges, labels)
 
 
 def _learn_replay(device, q, config, rng):
@@ -545,10 +555,11 @@ TARGETS = ("cpuf", "hpuf", "hlpuf")
 STRATEGIES = {
     "exact_copy": Strategy(dict.fromkeys(TARGETS), exact=True),
     "uniform_guess": Strategy(dict.fromkeys(TARGETS)),
-    "measure_forge": Strategy({"cpuf": _learn_clean, "hpuf": _learn_split,
-                               "hlpuf": _learn_split}),
+    "measure_forge": Strategy({"cpuf": partial(_learn, "clean"), "hpuf": partial(_learn, "split"),
+                               "hlpuf": partial(_learn, "split")}),
     # multi-copy extraction reads conjugate-coding qubits only
-    "measure_forge_multicopy": Strategy({"hpuf": _learn_multi_copy}, schemes=("bb84",)),
+    "measure_forge_multicopy": Strategy({"hpuf": partial(_learn, "multi_copy")},
+                                        schemes=("bb84",)),
     "replay_lock": Strategy({"hlpuf": _learn_replay}),
     "direct_probe": Strategy({"hlpuf": _learn_probe}),
 }
@@ -576,8 +587,8 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
         raise ValueError(f"strategy {strategy!r} needs scheme {' or '.join(spec.schemes)}")
     if min(q, trials, config.challenges_per_trial) < 1:
         raise ValueError("q, trials and challenges_per_trial must be positive")
-    scheme = config.scheme()
-    out_bits = config.out_bits()
+    scheme = SCHEMES[config.scheme_kind]
+    out_bits = scheme.out_bits(config.m)
     # the verified surface: the CPUF's whole response, compared bit for bit, or the
     # server's measurement of forged states: of the second half for hlpuf (whose
     # server verifies only that half) and hpuf under verify_second_half_only

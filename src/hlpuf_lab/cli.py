@@ -29,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, qstate
-from .adversary import (CrpDatabase, LrConfig, LrModel, _cached_attack, extraction_stats,
-                        lr_train, multi_copy_extract_batch)
+from .adversary import ROUTES, CrpDatabase, LrConfig, LrModel, extraction_stats, lr_train
 from .cpuf import CpufModel, random_challenges, transform_batch
 from .hybrid import ABORT, BB84, SCHEMES, HlpufDevice, encode_half, int_to_bits, server_verify
 from .protocol import ADVERSARIES, ServerState, run_session, write_transcript
@@ -38,7 +37,8 @@ from .seeding import derive_rng
 
 SCHEMA_VERSION = 1
 
-CURVE_MODES = ("cpuf", "hpuf_adaptive", "hlpuf_weak")
+# each curve mode and the learning route its labels come from, in mode_index order
+CURVE_MODES = {"cpuf": "clean", "hpuf_adaptive": "multi_copy", "hlpuf_weak": "split"}
 CURVE_COLUMNS = "seed,q,scheme,k,n,m,mode,accuracy,bit_rate,epsilon_measured"
 TIMING_COLUMNS = CURVE_COLUMNS + ",runtime_ms"
 
@@ -161,24 +161,9 @@ def append_attack_results(path, results) -> None:
             fh.write(r.csv_row() + "\n")
 
 
-def _curve_labels(mode: str, values, thetas, config: ExperimentConfig, rng):
-    """Training labels for the modeled value bit under each learning route.
-
-    cpuf: the clean bit. hlpuf_weak: single-copy split-attack guesses.
-    hpuf_adaptive: multi-copy extraction with config.multi_copies copies.
-    """
-    if mode == "cpuf":
-        return values.copy()
-    if mode == "hlpuf_weak":
-        attack = _cached_attack(BB84.kind, 0.5, None)
-        value_guess, _theta_guess = attack.guess_blocks_vectorized(values, thetas, rng)
-        return value_guess
-    if mode == "hpuf_adaptive":
-        amps = BB84.family().columns[thetas, values]
-        copies = np.broadcast_to(amps[:, None, :], (len(amps), config.multi_copies, 2))
-        value, _basis = multi_copy_extract_batch(copies, rng)
-        return value
-    raise ValueError(f"unknown mode {mode!r}")
+def _curve_labels(mode: str, bits, config: ExperimentConfig, rng):
+    """The modeled value bit's labels: the mode's route read on (N, 2) bits, one bb84 block."""
+    return ROUTES[CURVE_MODES[mode]](bits, BB84, config.multi_copies, rng)[:, 0]
 
 
 def _curve_task(payload):
@@ -195,16 +180,14 @@ def _curve_task(payload):
     # one feature transform per seed: evaluation, training and testing read it
     phi = transform_batch(challenges)
     bits = cpuf.eval_batch(challenges, features=phi)
-    values, thetas = bits[:, 0].astype(np.int64), bits[:, 1].astype(np.int64)
-    test_ch, test_phi = challenges[q_max:], phi[q_max:]
-    test_bits = values[q_max:].astype(np.uint8)
+    test_ch, test_phi, test_bits = challenges[q_max:], phi[q_max:], bits[q_max:, 0]
 
     rows = []
     for mode_index, mode in enumerate(CURVE_MODES):
         label_rng = derive_rng(config.seed, 2, seed_index, mode_index)
-        labels = _curve_labels(mode, values[:q_max], thetas[:q_max], config, label_rng)
+        labels = _curve_labels(mode, bits[:q_max], config, label_rng)
         if q_max > 0:
-            stats = extraction_stats(values[:q_max, None], labels[:, None])
+            stats = extraction_stats(bits[:q_max, :1], labels[:, None])
         else:
             stats = {"bit_rate": 1.0, "epsilon": 0.0}
         for q in sorted(config.q_grid):
@@ -310,7 +293,7 @@ def cmd_bounds(config: ExperimentConfig) -> int:
 
 def _build_protocol_parts(config: ExperimentConfig):
     scheme = SCHEMES[config.scheme]
-    out_bits = 2 * scheme.blocks(config.m) * scheme.bits_per_block
+    out_bits = scheme.out_bits(config.m)
     seed_rng = derive_rng(config.seed, 10)
     model_seed = int(seed_rng.integers(0, 2**31 - 1))
     if config.puf == "ideal":

@@ -84,6 +84,10 @@ class EncodingScheme:
                              f"of whole {self.kind} blocks")
         return out_bits // 2
 
+    def out_bits(self, m: int) -> int:
+        """Response bits of a device with m-qubit halves."""
+        return 2 * self.blocks(m) * self.bits_per_block
+
 
 BB84 = EncodingScheme("bb84", bits_per_block=2, qubits_per_block=1, block_dim=2,
                       value_bits=1, basis_bits=1, family=qstate.bb84_family)
@@ -108,7 +112,7 @@ def block_indices(bits, scheme: EncodingScheme) -> np.ndarray:
     step = scheme.bits_per_block
     if bits.shape[-1] % step != 0:
         raise ValueError("bit count is not a whole number of blocks")
-    return bits.reshape(bits.shape[:-1] + (-1, step)) @ scheme._place_values
+    return bits.reshape(bits.shape[:-1] + (bits.shape[-1] // step, step)) @ scheme._place_values
 
 
 def encode_half(bits, scheme: EncodingScheme) -> list:

@@ -359,6 +359,50 @@ class TestSamplerGeneratorState:
             assert state() == before
 
 
+class TestLearningRoutes:
+    """Each learning route against the direct call it replaces, down to the whole generator
+    state, buffered 32-bit half included."""
+
+    @staticmethod
+    def response_bits(scheme, m, rows, seed):
+        return derive_rng(seed).integers(0, 2, size=(rows, scheme.out_bits(m)), dtype=np.uint8)
+
+    # bb84 at m = 8 over 2,100 rows is 33,600 blocks, past one default sampler chunk
+    @pytest.mark.parametrize("scheme,m,rows", [(BB84, 1, 400), (BB84, 8, 2100), (MUB4, 4, 300),
+                                               (MUB8, 3, 300), (MUB8, 6, 300)])
+    def test_split_route_matches_amplitude_extraction(self, scheme, m, rows):
+        bits = self.response_bits(scheme, m, rows, 150)
+        rng_got, rng_want = TestSamplerGeneratorState.buffered_pair(151)
+        got = adversary.ROUTES["split"](bits, scheme, 3, rng_got)
+        want = split_attack_extract(wire_amplitudes(bits, scheme), scheme, rng_want)
+        assert got.dtype == want.dtype == np.uint8
+        assert got.shape == want.shape == bits.shape and got.tobytes() == want.tobytes()
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("m,copies", [(1, 2), (8, 6)])
+    def test_multi_copy_route_matches_batch_extraction(self, m, copies):
+        bits = self.response_bits(BB84, m, 500, 152)
+        rng_got, rng_want = TestSamplerGeneratorState.buffered_pair(153)
+        got = adversary.ROUTES["multi_copy"](bits, BB84, copies, rng_got)
+        labels = BB84.family().columns[bits[:, 1::2], bits[:, 0::2]].reshape(-1, 1, 2)
+        value, basis = multi_copy_extract_batch(
+            np.broadcast_to(labels, (len(labels), copies, 2)), rng_want)
+        want = np.stack([value, basis], axis=1).reshape(len(bits), -1)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_clean_route_is_the_responses_and_draws_nothing(self):
+        bits = self.response_bits(MUB4, 4, 20, 154)
+        rng_got, rng_want = TestSamplerGeneratorState.buffered_pair(155)
+        assert np.array_equal(adversary.ROUTES["clean"](bits, MUB4, 3, rng_got), bits)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("route", ["clean", "split", "multi_copy"])
+    def test_no_rows_give_no_labels(self, route):
+        got = adversary.ROUTES[route](np.zeros((0, 4), dtype=np.uint8), BB84, 3, derive_rng(156))
+        assert got.shape == (0, 4)
+
+
 class TestSplitAttackMub8:
     def test_value_bit_accuracies_under_uniform9(self):
         rng = derive_rng(65)

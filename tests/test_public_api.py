@@ -158,3 +158,12 @@ def test_keyword_allowlist_entries_exist_and_are_still_unpassed():
     for key in ALLOWED_KEYWORDS:
         assert key in defined, f"{key} is gone: drop it from ALLOWED_KEYWORDS"
         assert key in unpassed, f"{key} has a caller: drop it from ALLOWED_KEYWORDS"
+
+
+def test_cli_imports_no_private_name_from_a_sibling_module():
+    """The commands reach the other modules through their public names only."""
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"cli imports private names: {private}"
