@@ -301,9 +301,7 @@ def _build_protocol_parts(config: ExperimentConfig):
     else:
         cpuf = CpufModel.xor_arbiter(config.n, config.k, out_bits, model_seed)
     challenges = random_challenges(config.n, config.db_size, seed_rng)
-    responses = cpuf.eval_batch(challenges)
-    db = CrpDatabase(challenges, responses)
-    server = ServerState(db, scheme, derive_rng(config.seed, 11),
+    server = ServerState(challenges, cpuf, scheme, derive_rng(config.seed, 11),
                          reuse_cap=config.reuse_cap)
     device = HlpufDevice(cpuf, scheme)
     adversary = ADVERSARIES[config.adversary](derive_rng(config.seed, 12))

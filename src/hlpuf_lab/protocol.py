@@ -1,11 +1,13 @@
 """Executable challenge-response authentication rounds over an adversarial channel.
 
 One round: the server picks a non-retired challenge, encodes the first half
-of the stored response, sends (x, states) through the adversary's forward
-hook; the client feeds them to its locked device, aborting on ABORT;
-otherwise the second-half states return through the backward hook and the
-server verifies them by measurement. Accepted rounds mark the challenge
-reusable; any failure retires it permanently.
+of its response, sends (x, states) through the adversary's forward hook; the
+client feeds them to its locked device, aborting on ABORT; otherwise the
+second-half states return through the backward hook and the server verifies
+them by measurement. Accepted rounds mark the challenge reusable; any failure
+retires it permanently. A response is computed at its first read and stored:
+exact, since evaluation is a pure, noiseless function of (model, challenge) and
+no draw depends on it; a noisy CPUF would draw its noise in the enrollment stream.
 
 A channel adversary is a ChannelAdversary subclass built from one generator,
 ``cls(rng)``. Its hooks ``forward(x, states)`` and ``backward(x, states)``
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .adversary import CrpDatabase, intercept_resend
+from .adversary import intercept_resend
+from .cpuf import CpufModel
 from .hybrid import ABORT, EncodingScheme, HlpufDevice, encode_half, server_verify
 
 STATUS_ACCEPTED = "accepted"
@@ -35,29 +38,43 @@ REUSABLE = "reusable"
 RETIRED = "retired"
 
 
+# json.dumps with non-default arguments builds a new encoder on every call
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class DatabaseExhausted(Exception):
     """No selectable challenge remains."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ChallengePolicy:
     status: str = FRESH
     accepted_rounds: int = 0
 
 
 class ServerState:
-    """Full CRP table plus the per-challenge reuse policy."""
+    """Enrolled challenges, responses computed at first read, and the reuse policy."""
 
-    def __init__(self, db: CrpDatabase, scheme: EncodingScheme,
+    def __init__(self, challenges: np.ndarray, cpuf: CpufModel, scheme: EncodingScheme,
                  rng: np.random.Generator, reuse_cap: int | None = None):
-        self.db = db
-        self.half_bits = scheme.half_bits(db.responses.shape[1])
+        self.challenges = np.asarray(challenges, dtype=np.uint8)
+        if self.challenges.ndim != 2 or self.challenges.shape[1] != cpuf.n:
+            raise ValueError(f"challenges must be an (N, {cpuf.n}) array")
+        self.cpuf = cpuf
+        self.half_bits = scheme.half_bits(cpuf.out_bits)
         self.scheme = scheme
         self.rng = rng
         self.reuse_cap = reuse_cap
-        self.policy = [ChallengePolicy() for _ in range(len(db))]
+        self.policy = [ChallengePolicy() for _ in range(len(self.challenges))]
         # selectable indices in ascending order, so draws match a scan of policy
-        self.candidates = list(range(len(db)))
+        self.candidates = list(range(len(self.challenges)))
+        self._responses = {}
+
+    def response(self, idx: int) -> np.ndarray:
+        y = self._responses.get(idx)
+        if y is None:
+            y = self._responses[idx] = self.cpuf.eval(self.challenges[idx])
+        return y
 
     def _selectable(self, pol: ChallengePolicy) -> bool:
         return pol.status == FRESH or (pol.status == REUSABLE and (
@@ -180,8 +197,8 @@ def run_round(server: ServerState, device: HlpufDevice, adversary: ChannelAdvers
               rng: np.random.Generator, round_index: int = 0) -> RoundOutcome:
     """One authentication round; updates the server's reuse policy."""
     idx = server.select_challenge()
-    x = server.db.challenges[idx]
-    y = server.db.responses[idx]
+    x = server.challenges[idx]
+    y = server.response(idx)
     events = []
 
     def log(step, direction, action, n_states, **extra):
@@ -240,7 +257,7 @@ class SessionReport:
             "outcomes": self.outcomes,
             "meta": meta,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _encode_json(payload)
 
 
 def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdversary,
@@ -275,11 +292,11 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
     for idx, pol in enumerate(server.policy):
         if pol.accepted_rounds < 2:
             continue
-        x = server.db.challenges[idx]
+        x = server.challenges[idx]
         guess = adversary.guess_half_bits(x, half_bits)
         if guess is None:
             continue
-        truth = server.db.responses[idx][:half_bits]
+        truth = server.response(idx)[:half_bits]
         hits += int(np.array_equal(np.asarray(guess, dtype=np.uint8), truth))
         total += 1
     rate = hits / total if total else None
@@ -303,4 +320,4 @@ def write_transcript(path, report: SessionReport) -> None:
     """JSON-lines export, one hook/step event per line."""
     with open(path, "w") as fh:
         for event in report.transcript:
-            fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_encode_json(event) + "\n")

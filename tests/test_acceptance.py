@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import analytics, cli, protocol, qstate
-from hlpuf_lab.adversary import (CrpDatabase, GameConfig, LrConfig, multi_copy_extract,
+from hlpuf_lab.adversary import (GameConfig, LrConfig, multi_copy_extract,
                                  run_unforgeability_game, split_attack_extract)
 from hlpuf_lab.cpuf import CpufModel, random_challenges
 from hlpuf_lab.hybrid import BB84, MUB8, HlpufDevice
@@ -177,8 +177,7 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     m = 8
     model = CpufModel.ideal(16, 4 * m, 0.5, 9106)
     ch = random_challenges(16, 100, derive_rng(9107))
-    db = CrpDatabase(ch, model.eval_batch(ch))
-    server = protocol.ServerState(db, BB84, derive_rng(9108))
+    server = protocol.ServerState(ch, model, BB84, derive_rng(9108))
     device = HlpufDevice(model, BB84)
     rng = derive_rng(9109)
     honest = protocol.run_session(server, device, protocol.ChannelAdversary(rng), 100, rng)
@@ -189,8 +188,7 @@ def test_criterion_6_protocol_completeness_and_cheat_sensitivity():
     rounds = 30000
     model2 = CpufModel.ideal(16, 4 * m, 0.5, 9110)
     ch2 = random_challenges(16, rounds, derive_rng(9111))
-    db2 = CrpDatabase(ch2, model2.eval_batch(ch2))
-    server2 = protocol.ServerState(db2, BB84, derive_rng(9112))
+    server2 = protocol.ServerState(ch2, model2, BB84, derive_rng(9112))
     device2 = HlpufDevice(model2, BB84)
     adv = protocol.InterceptResendAdversary(derive_rng(9113))
     session = protocol.run_session(server2, device2, adv, rounds, derive_rng(9114))
@@ -213,8 +211,7 @@ def test_criterion_7_reuse_audit():
     for m in (4, 8):
         model = CpufModel.ideal(16, 4 * m, 0.5, 9200 + m)
         ch = random_challenges(16, 24, derive_rng(9201, m))
-        db = CrpDatabase(ch, model.eval_batch(ch))
-        server = protocol.ServerState(db, BB84, derive_rng(9202, m), reuse_cap=16)
+        server = protocol.ServerState(ch, model, BB84, derive_rng(9202, m), reuse_cap=16)
         device = HlpufDevice(model, BB84)
         adv = protocol.PassiveObserver(derive_rng(9203, m))
         session = protocol.run_session(server, device, adv, 300, derive_rng(9204, m))

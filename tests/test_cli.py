@@ -410,8 +410,9 @@ class TestGoldenOutputs:
             "1ade8ded90c90013c3f0531bc1edfb8a03812b22ea1b0958cd1baa3a4a127e0e"
 
     def test_protocol_multi_chunk_ideal_enrollment(self, tmp_path):
-        # 2,500 ideal-CPUF rows span three hashing blocks, and 12-bit challenges
-        # pack into a part-filled second byte
+        # a 2,500-row ideal-CPUF database whose 12-bit challenges pack into a
+        # part-filled second byte; the server hashes only the rows its rounds
+        # read, one at a time (TestIdealKernel covers the chunked kernel)
         out = tmp_path / "p"
         assert run(["protocol", "--seed", "37", "--rounds", "200", "--m", "4", "--n", "12",
                     "--puf", "ideal", "--db-size", "2500", "--adversary", "intercept",

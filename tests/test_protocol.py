@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlpuf_lab import protocol, qstate
-from hlpuf_lab.adversary import CrpDatabase, intercept_resend
+from hlpuf_lab.adversary import intercept_resend
 from hlpuf_lab.cpuf import CpufModel, random_challenges
 from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice
 from hlpuf_lab.protocol import (ChannelAdversary, DatabaseExhausted,
@@ -17,8 +17,7 @@ from hlpuf_lab.seeding import derive_rng
 def make_setup(m_qubits=2, db_size=64, seed=300, n=16, reuse_cap=None):
     model = CpufModel.ideal(n, 4 * m_qubits, 0.5, seed)
     ch = random_challenges(n, db_size, derive_rng(seed, 1))
-    db = CrpDatabase(ch, model.eval_batch(ch))
-    server = ServerState(db, BB84, derive_rng(seed, 2), reuse_cap=reuse_cap)
+    server = ServerState(ch, model, BB84, derive_rng(seed, 2), reuse_cap=reuse_cap)
     device = HlpufDevice(model, BB84)
     return server, device
 
@@ -114,9 +113,15 @@ class TestChallengeSelection:
     @pytest.mark.parametrize("width,scheme", [(6, BB84), (3, BB84), (12, MUB4), (18, MUB8)])
     def test_response_width_must_split_into_whole_block_halves(self, width, scheme):
         ch = np.zeros((4, 8), dtype=np.uint8)
-        db = CrpDatabase(ch, np.zeros((4, width), dtype=np.uint8))
+        model = CpufModel.ideal(8, width, 0.5, 307)
         with pytest.raises(ValueError):
-            ServerState(db, scheme, derive_rng(307))
+            ServerState(ch, model, scheme, derive_rng(307))
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 7), (2, 4, 8)])
+    def test_challenges_must_be_rows_of_n_bits(self, shape):
+        model = CpufModel.ideal(8, 8, 0.5, 308)
+        with pytest.raises(ValueError):
+            ServerState(np.zeros(shape, dtype=np.uint8), model, BB84, derive_rng(308))
 
     def test_retired_challenge_cannot_be_accepted(self):
         server, _device = make_setup(db_size=4)
@@ -124,6 +129,57 @@ class TestChallengeSelection:
         with pytest.raises(ValueError):
             server.record(2, accepted=True)
         assert server.candidates == [0, 1, 3]
+
+
+class CountingCpuf:
+    """A CpufModel stand-in with no eval_batch that logs each evaluation with
+    the number of challenges the server had selected when it was asked."""
+
+    def __init__(self, model, selected):
+        self.model, self.n, self.out_bits = model, model.n, model.out_bits
+        self.selected = selected
+        self.evaluated = []  # (selections so far, challenge)
+
+    def eval(self, challenge):
+        self.evaluated.append((len(self.selected), np.array(challenge)))
+        return self.model.eval(challenge)
+
+
+class RecordingServer(ServerState):
+    def select_challenge(self):
+        idx = super().select_challenge()
+        self.cpuf.selected.append(idx)
+        return idx
+
+
+class TestOnDemandEnrollment:
+    @pytest.mark.parametrize("kind,adversary,db_size,rounds,reuse_cap", [
+        ("ideal", InterceptResendAdversary, 200, 150, None),
+        ("xor", PassiveObserver, 12, 60, 2),
+    ])
+    def test_server_evaluates_each_read_row_once(self, kind, adversary, db_size, rounds,
+                                                 reuse_cap):
+        n, out_bits = 16, 8
+        model = (CpufModel.ideal(n, out_bits, 0.5, 350) if kind == "ideal"
+                 else CpufModel.xor_arbiter(n, 2, out_bits, 350))
+        ch = random_challenges(n, db_size, derive_rng(351))
+        eager = model.eval_batch(ch)
+        counting = CountingCpuf(model, [])
+        server = RecordingServer(ch, counting, BB84, derive_rng(352), reuse_cap=reuse_cap)
+        assert counting.evaluated == []
+        report = run_session(server, HlpufDevice(model, BB84), adversary(derive_rng(353)),
+                             rounds, derive_rng(354))
+        selected = counting.selected
+        assert report.audit_total > 0 and len(set(selected)) < len(selected)
+        # each evaluation is the first read of the challenge its round selected,
+        # so the audit, which runs after the last selection, evaluates no new row
+        first_reads = list(dict.fromkeys(selected))
+        assert [selected[k - 1] for k, _ in counting.evaluated] == first_reads
+        for k, x in counting.evaluated:
+            assert np.array_equal(x, ch[selected[k - 1]])
+        for idx in range(db_size):
+            assert np.array_equal(server.response(idx), eager[idx])
+        assert len(counting.evaluated) == db_size
 
 
 class TestAdversaries:
@@ -171,7 +227,7 @@ class TestAdversaries:
         for idx, pol in enumerate(server.policy):
             if pol.accepted_rounds < 2:
                 continue
-            x = server.db.challenges[idx]
+            x = server.challenges[idx]
             expected = [b for pair in last_forward[x.tobytes()] for b in pair]
             assert adv.guess_half_bits(x, server.half_bits).tolist() == expected
 
