@@ -448,6 +448,30 @@ class TestGoldenOutputs:
         assert sha256(out / "transcript.jsonl") == \
             "0c0708dd28eb333eb18f69017f7662e7c39696b03d553e49bbcd1ee95e4697c6"
 
+    def test_protocol_xor_passive_reuse_session(self, tmp_path):
+        # an xor-arbiter CPUF whose 24 challenges are read again and again:
+        # 15 of them reach the reuse cap (5 accepts)
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "47", "--puf", "xor", "--adversary", "passive",
+                    "--reuse-cap", "4", "--m", "4", "--db-size", "24", "--rounds", "100",
+                    "--out", str(out)]) == 0
+        assert sha256(out / "session.json") == \
+            "9d66fd690c21c767f183dbbc7af5f19c3be72f7445f3f7185fdeda80cd68d79f"
+        assert sha256(out / "transcript.jsonl") == \
+            "545305f9cf0e061c1a27e8ca5de9b0cd16119514e37b59959117b435af8d1404"
+
+    def test_protocol_bb84_passive_reuse_session(self, tmp_path):
+        # the session_reuse benchmark's shape (ideal CPUF, m 8, reuse cap 16) at
+        # 16 challenges and 200 rounds: every round accepted, 2 challenges capped
+        out = tmp_path / "p"
+        assert run(["protocol", "--seed", "59", "--m", "8", "--puf", "ideal",
+                    "--adversary", "passive", "--db-size", "16", "--reuse-cap", "16",
+                    "--rounds", "200", "--out", str(out)]) == 0
+        assert sha256(out / "session.json") == \
+            "b3ed800228d3a1f17c08e9b818b17bf4596bb198e553e5a84d9758e2b607587b"
+        assert sha256(out / "transcript.jsonl") == \
+            "3c239f3080fe58ba7f26a0d52324608c7a9c64e6cceb3548c4c244383f39f5e4"
+
 
 class TestBoundsCommand:
     def test_writes_versioned_csv(self, tmp_path):
