@@ -391,10 +391,13 @@ def _selfcheck_battery(seed: int):
 
     model = CpufModel.xor_arbiter(16, 2, 4, 12345)
     c = rng.integers(0, 2, size=16, dtype=np.uint8)
-    checks.append(("cpuf_determinism", bool(np.array_equal(model.eval(c), model.eval(c))), ""))
+    # a rebuilt model and the batch path recompute the row that model.eval keeps
+    y = model.eval(c)
+    ok = (np.array_equal(y, CpufModel.xor_arbiter(16, 2, 4, 12345).eval(c))
+          and np.array_equal(y, model.eval_batch(c[None])[0]))
+    checks.append(("cpuf_determinism", ok, ""))
 
     device = HlpufDevice(model, BB84)
-    y = model.eval(c)
     reply = device.lock_query(c, encode_half(y[:2], BB84), rng)
     ok = reply is not ABORT and server_verify(y[2:], reply, BB84, rng)
     checks.append(("honest_round_trip", ok, ""))

@@ -2,7 +2,10 @@
 
 k-XOR additive-delay arbiter chains, evaluated by one kernel (arbiter_bits) that
 the modeling attack's LR model shares, and an ideal biased random function.
-Evaluation is a pure, noiseless function of (model, challenge).
+Evaluation is a pure, noiseless function of (model, challenge), so a model keeps
+each row that CpufModel.eval computes and returns it when the challenge comes
+back: the server, the device's lock and the audit, which share one model, hash a
+challenge once. A noisy CPUF would have to drop that memo.
 """
 
 import hashlib
@@ -104,6 +107,8 @@ class CpufModel:
     seed: int
     weights: np.ndarray | None = field(default=None, repr=False)  # xor: (out_bits, k, n+1)
     ideal_puf: IdealBiasedPuf | None = field(default=None, repr=False)
+    # eval's read-only rows, keyed by the challenge's uint8 bytes
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def xor_arbiter(cls, n: int, k: int, out_bits: int, seed: int) -> "CpufModel":
@@ -120,18 +125,27 @@ class CpufModel:
         return cls(kind=KIND_IDEAL, n=n, out_bits=out_bits, seed=seed, ideal_puf=puf)
 
     def eval(self, challenge) -> np.ndarray:
-        """Response bits for one challenge."""
+        """Response bits for one challenge, read-only; computed at the challenge's
+        first evaluation on this model and kept for later ones."""
         c = np.asarray(challenge, dtype=np.uint8)
         if c.shape != (self.n,):
             raise ValueError(f"challenge must have length {self.n}")
-        if self.kind == KIND_IDEAL:
-            return self.ideal_puf.eval(c)
-        return arbiter_bits(transform_batch(c[None, :]), self.weights)[0]
+        key = c.tobytes()
+        y = self._rows.get(key)
+        if y is None:
+            if self.kind == KIND_IDEAL:
+                y = self.ideal_puf.eval(c)
+            else:
+                y = arbiter_bits(transform_batch(c[None, :]), self.weights)[0]
+            y.setflags(write=False)
+            self._rows[key] = y
+        return y
 
     def eval_batch(self, challenges: np.ndarray,
                    features: np.ndarray | None = None) -> np.ndarray:
         """(N, out_bits) responses for an (N, n) array of challenges; ``features``
-        is transform_batch(challenges) when the caller holds it (never for an ideal PUF)."""
+        is transform_batch(challenges) when the caller holds it (never for an ideal PUF).
+        It neither reads nor fills eval's rows, so its scratch stays constant."""
         ch = np.asarray(challenges, dtype=np.uint8)
         if ch.ndim != 2 or ch.shape[1] != self.n:
             raise ValueError(f"challenges must be an (N, {self.n}) array")

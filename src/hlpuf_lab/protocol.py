@@ -5,9 +5,11 @@ of its response, sends (x, states) through the adversary's forward hook; the
 client feeds them to its locked device, aborting on ABORT; otherwise the
 second-half states return through the backward hook and the server verifies
 them by measurement. Accepted rounds mark the challenge reusable; any failure
-retires it permanently. A response is computed at its first read and stored:
-exact, since evaluation is a pure, noiseless function of (model, challenge) and
-no draw depends on it; a noisy CPUF would draw its noise in the enrollment stream.
+retires it permanently. A response is computed at its first read: the server
+asks its CpufModel, which keeps each row it evaluates, so the device's lock and
+the audit read the same row without hashing the challenge again. This is exact,
+since evaluation is a pure, noiseless function of (model, challenge) and no draw
+depends on it; a noisy CPUF would draw its noise in the enrollment stream.
 
 A channel adversary is a ChannelAdversary subclass built from one generator,
 ``cls(rng)``. Its hooks ``forward(x, states)`` and ``backward(x, states)``
@@ -53,7 +55,8 @@ class ChallengePolicy:
 
 
 class ServerState:
-    """Enrolled challenges, responses computed at first read, and the reuse policy."""
+    """Enrolled challenges, responses computed by the model at first read, and the
+    reuse policy."""
 
     def __init__(self, challenges: np.ndarray, cpuf: CpufModel, scheme: EncodingScheme,
                  rng: np.random.Generator, reuse_cap: int | None = None):
@@ -68,13 +71,9 @@ class ServerState:
         self.policy = [ChallengePolicy() for _ in range(len(self.challenges))]
         # selectable indices in ascending order, so draws match a scan of policy
         self.candidates = list(range(len(self.challenges)))
-        self._responses = {}
 
     def response(self, idx: int) -> np.ndarray:
-        y = self._responses.get(idx)
-        if y is None:
-            y = self._responses[idx] = self.cpuf.eval(self.challenges[idx])
-        return y
+        return self.cpuf.eval(self.challenges[idx])
 
     def _selectable(self, pol: ChallengePolicy) -> bool:
         return pol.status == FRESH or (pol.status == REUSABLE and (

@@ -212,6 +212,91 @@ class TestIdealKernel:
         assert peak - got.nbytes < 2**20
 
 
+def build_model(kind, seed):
+    if kind == "ideal":
+        return cpuf.CpufModel.ideal(16, 8, 0.5, seed)
+    return cpuf.CpufModel.xor_arbiter(16, 2, 8, seed)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Rows each CPUF kernel call evaluates (the ideal hash or the arbiter bits),
+    one entry per call, whether eval or eval_batch made it."""
+    calls = []
+    ideal_eval, arbiter_bits = cpuf.IdealBiasedPuf.eval, cpuf.arbiter_bits
+
+    def ideal(self, challenges):
+        calls.append(np.asarray(challenges).reshape(-1, self.n).shape[0])
+        return ideal_eval(self, challenges)
+
+    def arbiter(features, weights):
+        calls.append(len(features))
+        return arbiter_bits(features, weights)
+
+    monkeypatch.setattr(cpuf.IdealBiasedPuf, "eval", ideal)
+    monkeypatch.setattr(cpuf, "arbiter_bits", arbiter)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["ideal", "xor"])
+class TestEvalMemo:
+    """CpufModel.eval keeps each row it computes; eval_batch recomputes every row."""
+
+    def test_row_matches_batch_before_and_after_caching(self, kind, kernel_calls):
+        model = build_model(kind, 36)
+        ch = cpuf.random_challenges(16, 12, derive_rng(34))[derive_rng(35).integers(0, 12, 60)]
+        expected = model.eval_batch(ch)
+        kernel_calls.clear()
+        seen = set()
+        for x, want in zip(ch, expected):
+            cached = x.tobytes() in seen
+            seen.add(x.tobytes())
+            before = len(kernel_calls)
+            assert np.array_equal(model.eval(x), want)
+            assert len(kernel_calls) - before == (0 if cached else 1)
+            assert np.array_equal(model.eval_batch(x[None])[0], want)
+        kernel_calls.clear()
+        for x, want in zip(ch, expected):
+            assert np.array_equal(model.eval(x), want)
+            assert np.array_equal(model.eval(x.tolist()), want)  # same uint8 bytes
+        assert kernel_calls == []
+
+    def test_returned_rows_are_read_only(self, kind):
+        model = build_model(kind, 38)
+        x = cpuf.random_challenges(16, 1, derive_rng(39))[0]
+        want = model.eval_batch(x[None])[0]
+        for _ in range(2):  # the computed row, then the kept one
+            y = model.eval(x)
+            with pytest.raises(ValueError):
+                y[0] ^= 1
+        assert np.array_equal(model.eval(x), want)
+
+    def test_models_keep_their_own_rows(self, kind):
+        ch = cpuf.random_challenges(16, 40, derive_rng(40))
+        a, b = build_model(kind, 41), build_model(kind, 42)
+        want_a, want_b = a.eval_batch(ch), b.eval_batch(ch)
+        assert not np.array_equal(want_a, want_b)
+        for i, x in enumerate(ch):  # interleaved on two live models
+            assert np.array_equal(a.eval(x), want_a[i])
+            assert np.array_equal(b.eval(x), want_b[i])
+        # a model built after another is dropped may take its id()
+        for seed in range(43, 49):
+            model = build_model(kind, seed)
+            want = model.eval_batch(ch)
+            for i, x in enumerate(ch):
+                assert np.array_equal(model.eval(x), want[i])
+            del model
+
+    def test_batch_leaves_the_rows_unfilled(self, kind, kernel_calls):
+        model = build_model(kind, 50)
+        ch = cpuf.random_challenges(16, 30, derive_rng(51))
+        batch = model.eval_batch(ch)
+        kernel_calls.clear()
+        for i, x in enumerate(ch):
+            assert np.array_equal(model.eval(x), batch[i])
+        assert kernel_calls == [1] * len(ch)
+
+
 class TestStatistics:
     def test_xor_arbiter_ensemble_bias(self):
         # single instances carry O(1/sqrt(n)) bias through the shared feature

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hlpuf_lab import protocol, qstate
+from hlpuf_lab import cpuf, protocol, qstate
 from hlpuf_lab.adversary import intercept_resend
-from hlpuf_lab.cpuf import CpufModel, random_challenges
+from hlpuf_lab.cpuf import CpufModel, random_challenges, transform_batch
 from hlpuf_lab.hybrid import BB84, MUB4, MUB8, HlpufDevice
 from hlpuf_lab.protocol import (ChannelAdversary, DatabaseExhausted,
                                 InterceptResendAdversary, PassiveObserver,
@@ -131,24 +131,16 @@ class TestChallengeSelection:
         assert server.candidates == [0, 1, 3]
 
 
-class CountingCpuf:
-    """A CpufModel stand-in with no eval_batch that logs each evaluation with
-    the number of challenges the server had selected when it was asked."""
-
-    def __init__(self, model, selected):
-        self.model, self.n, self.out_bits = model, model.n, model.out_bits
-        self.selected = selected
-        self.evaluated = []  # (selections so far, challenge)
-
-    def eval(self, challenge):
-        self.evaluated.append((len(self.selected), np.array(challenge)))
-        return self.model.eval(challenge)
-
-
 class RecordingServer(ServerState):
+    """Appends each index select_challenge returns to ``selected``."""
+
+    def __init__(self, selected, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.selected = selected
+
     def select_challenge(self):
         idx = super().select_challenge()
-        self.cpuf.selected.append(idx)
+        self.selected.append(idx)
         return idx
 
 
@@ -157,29 +149,43 @@ class TestOnDemandEnrollment:
         ("ideal", InterceptResendAdversary, 200, 150, None),
         ("xor", PassiveObserver, 12, 60, 2),
     ])
-    def test_server_evaluates_each_read_row_once(self, kind, adversary, db_size, rounds,
-                                                 reuse_cap):
+    def test_server_evaluates_each_read_row_once(self, monkeypatch, kind, adversary,
+                                                 db_size, rounds, reuse_cap):
         n, out_bits = 16, 8
         model = (CpufModel.ideal(n, out_bits, 0.5, 350) if kind == "ideal"
                  else CpufModel.xor_arbiter(n, 2, out_bits, 350))
         ch = random_challenges(n, db_size, derive_rng(351))
         eager = model.eval_batch(ch)
-        counting = CountingCpuf(model, [])
-        server = RecordingServer(ch, counting, BB84, derive_rng(352), reuse_cap=reuse_cap)
-        assert counting.evaluated == []
+        # every CPUF kernel evaluation by the server, the lock and the audit, with the
+        # number of challenges selected when it ran and the features of its one row
+        selected, evaluated = [], []
+        ideal_eval, arbiter_bits = cpuf.IdealBiasedPuf.eval, cpuf.arbiter_bits
+
+        def ideal(puf, c):
+            evaluated.append((len(selected), transform_batch(c.reshape(1, n))))
+            return ideal_eval(puf, c)
+
+        def arbiter(features, weights):
+            evaluated.append((len(selected), features))
+            return arbiter_bits(features, weights)
+
+        monkeypatch.setattr(cpuf.IdealBiasedPuf, "eval", ideal)
+        monkeypatch.setattr(cpuf, "arbiter_bits", arbiter)
+        server = RecordingServer(selected, ch, model, BB84, derive_rng(352),
+                                 reuse_cap=reuse_cap)
+        assert evaluated == []
         report = run_session(server, HlpufDevice(model, BB84), adversary(derive_rng(353)),
                              rounds, derive_rng(354))
-        selected = counting.selected
         assert report.audit_total > 0 and len(set(selected)) < len(selected)
-        # each evaluation is the first read of the challenge its round selected,
-        # so the audit, which runs after the last selection, evaluates no new row
+        # each evaluation is the first read of the challenge its round selected, so
+        # the lock never evaluates a row again, and the audit, which runs after the
+        # last selection, evaluates none
         first_reads = list(dict.fromkeys(selected))
-        assert [selected[k - 1] for k, _ in counting.evaluated] == first_reads
-        for k, x in counting.evaluated:
-            assert np.array_equal(x, ch[selected[k - 1]])
+        assert [selected[k - 1] for k, _ in evaluated] == first_reads
+        for k, phi in evaluated:
+            assert np.array_equal(phi, transform_batch(ch[selected[k - 1]][None]))
         for idx in range(db_size):
             assert np.array_equal(server.response(idx), eager[idx])
-        assert len(counting.evaluated) == db_size
 
 
 class TestAdversaries:
