@@ -92,13 +92,14 @@ class IdealBiasedPuf:
         return ones.view(np.uint8).reshape(c.shape[:-1] + (self.out_bits,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpufModel:
     """A classical PUF f: {0,1}^n -> {0,1}^out_bits.
 
     The out_bits output bits are independent: bit j of the xor_arbiter kind has
     its own k chains, drawn from sub-seed j; the ideal kind hashes each bit with
     its own PRF suffix. This matches the i.i.d. output-bit assumption of the analysis.
+    A model compares and hashes by identity, as the rows it keeps are its own.
     """
 
     kind: str
@@ -108,7 +109,7 @@ class CpufModel:
     weights: np.ndarray | None = field(default=None, repr=False)  # xor: (out_bits, k, n+1)
     ideal_puf: IdealBiasedPuf | None = field(default=None, repr=False)
     # eval's read-only rows, keyed by the challenge's uint8 bytes
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def xor_arbiter(cls, n: int, k: int, out_bits: int, seed: int) -> "CpufModel":

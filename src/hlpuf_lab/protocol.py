@@ -4,12 +4,14 @@ One round: the server picks a non-retired challenge, encodes the first half
 of its response, sends (x, states) through the adversary's forward hook; the
 client feeds them to its locked device, aborting on ABORT; otherwise the
 second-half states return through the backward hook and the server verifies
-them by measurement. Accepted rounds mark the challenge reusable; any failure
-retires it permanently. A response is computed at its first read: the server
-asks its CpufModel, which keeps each row it evaluates, so the device's lock and
-the audit read the same row without hashing the challenge again. This is exact,
-since evaluation is a pure, noiseless function of (model, challenge) and no draw
-depends on it; a noisy CPUF would draw its noise in the enrollment stream.
+them by measurement. The server's reuse ledger is two arrays: ``accepted``
+counts the rounds each challenge passed, and ``retired`` marks the ones a
+failed round retired, permanently. A response is computed at its first read:
+the server asks its CpufModel, which keeps each row it evaluates, so the
+device's lock and the audit read the same row without hashing the challenge
+again. This is exact, since evaluation is a pure, noiseless function of (model,
+challenge) and no draw depends on it; a noisy CPUF would draw its noise in the
+enrollment stream.
 
 A channel adversary is a ChannelAdversary subclass built from one generator,
 ``cls(rng)``. Its hooks ``forward(x, states)`` and ``backward(x, states)``
@@ -22,7 +24,7 @@ custody ledger sets it, so a replayed state still reads ``custody_ok: true``.
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,10 +37,6 @@ STATUS_ACCEPTED = "accepted"
 STATUS_CLIENT_ABORT = "client_abort"
 STATUS_SERVER_REJECT = "server_reject"
 
-FRESH = "fresh"
-REUSABLE = "reusable"
-RETIRED = "retired"
-
 
 # json.dumps with non-default arguments builds a new encoder on every call
 _encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -48,15 +46,9 @@ class DatabaseExhausted(Exception):
     """No selectable challenge remains."""
 
 
-@dataclass(slots=True)
-class ChallengePolicy:
-    status: str = FRESH
-    accepted_rounds: int = 0
-
-
 class ServerState:
     """Enrolled challenges, responses computed by the model at first read, and the
-    reuse policy."""
+    reuse ledger: how many rounds each challenge passed and whether it is retired."""
 
     def __init__(self, challenges: np.ndarray, cpuf: CpufModel, scheme: EncodingScheme,
                  rng: np.random.Generator, reuse_cap: int | None = None):
@@ -68,16 +60,19 @@ class ServerState:
         self.scheme = scheme
         self.rng = rng
         self.reuse_cap = reuse_cap
-        self.policy = [ChallengePolicy() for _ in range(len(self.challenges))]
-        # selectable indices in ascending order, so draws match a scan of policy
+        self.accepted = np.zeros(len(self.challenges), dtype=np.int64)
+        self.retired = np.zeros(len(self.challenges), dtype=bool)
+        # selectable indices in ascending order, so draws match a scan of the ledger
         self.candidates = list(range(len(self.challenges)))
 
     def response(self, idx: int) -> np.ndarray:
         return self.cpuf.eval(self.challenges[idx])
 
-    def _selectable(self, pol: ChallengePolicy) -> bool:
-        return pol.status == FRESH or (pol.status == REUSABLE and (
-            self.reuse_cap is None or pol.accepted_rounds <= self.reuse_cap))
+    def _selectable(self, idx: int) -> bool:
+        """Not retired, and fresh or accepted at most reuse_cap times."""
+        passed = self.accepted[idx]
+        return not self.retired[idx] and (
+            passed == 0 or self.reuse_cap is None or passed <= self.reuse_cap)
 
     def select_challenge(self) -> int:
         if not self.candidates:
@@ -86,21 +81,16 @@ class ServerState:
         return self.candidates[int(self.rng.integers(0, len(self.candidates)))]
 
     def record(self, idx: int, accepted: bool):
-        """Apply a round's verdict (the only writer of ``policy``); retirement is permanent."""
-        pol = self.policy[idx]
-        if accepted and pol.status == RETIRED:
+        """Apply a round's verdict (the only writer of the ledger); retirement is permanent."""
+        if accepted and self.retired[idx]:
             raise ValueError(f"challenge {idx} is retired")
-        was_selectable = self._selectable(pol)
+        was_selectable = self._selectable(idx)
         if accepted:
-            pol.accepted_rounds += 1
-            pol.status = REUSABLE
+            self.accepted[idx] += 1
         else:
-            pol.status = RETIRED
-        if was_selectable and not self._selectable(pol):
+            self.retired[idx] = True
+        if was_selectable and not self._selectable(idx):
             del self.candidates[bisect_left(self.candidates, idx)]
-
-    def retired_count(self) -> int:
-        return sum(p.status == RETIRED for p in self.policy)
 
 
 class ChannelAdversary:
@@ -194,7 +184,7 @@ class RoundOutcome:
 
 def run_round(server: ServerState, device: HlpufDevice, adversary: ChannelAdversary,
               rng: np.random.Generator, round_index: int = 0) -> RoundOutcome:
-    """One authentication round; updates the server's reuse policy."""
+    """One authentication round; updates the server's reuse ledger."""
     idx = server.select_challenge()
     x = server.challenges[idx]
     y = server.response(idx)
@@ -243,19 +233,9 @@ class SessionReport:
 
     def to_json(self, meta: dict) -> str:
         """The session summary and the run's ``meta`` block as one JSON object."""
-        payload = {
-            "rounds_completed": self.rounds_completed,
-            "accepted": self.accepted,
-            "acceptance_rate": self.acceptance_rate,
-            "retired_count": self.retired_count,
-            "reuse_histogram": {str(k): v for k, v in sorted(self.reuse_histogram.items())},
-            "exhausted": self.exhausted,
-            "audit_hit_rate": self.audit_hit_rate,
-            "audit_hits": self.audit_hits,
-            "audit_total": self.audit_total,
-            "outcomes": self.outcomes,
-            "meta": meta,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transcript"}
+        payload["reuse_histogram"] = {str(k): v for k, v in sorted(self.reuse_histogram.items())}
+        payload["meta"] = meta
         return _encode_json(payload)
 
 
@@ -282,15 +262,12 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
         transcript.extend(outcome.transcript)
         accepted += outcome.status == STATUS_ACCEPTED
 
-    histogram = {}
-    for pol in server.policy:
-        histogram[pol.accepted_rounds] = histogram.get(pol.accepted_rounds, 0) + 1
+    histogram = {k: count for k, count in enumerate(np.bincount(server.accepted).tolist())
+                 if count}
 
     half_bits = server.half_bits
     hits, total = 0, 0
-    for idx, pol in enumerate(server.policy):
-        if pol.accepted_rounds < 2:
-            continue
+    for idx in np.flatnonzero(server.accepted >= 2).tolist():
         x = server.challenges[idx]
         guess = adversary.guess_half_bits(x, half_bits)
         if guess is None:
@@ -304,7 +281,7 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
         rounds_completed=len(outcomes),
         accepted=accepted,
         acceptance_rate=accepted / len(outcomes) if outcomes else 0.0,
-        retired_count=server.retired_count(),
+        retired_count=int(server.retired.sum()),
         reuse_histogram=histogram,
         exhausted=exhausted,
         audit_hit_rate=rate,

@@ -297,6 +297,22 @@ class TestEvalMemo:
         assert kernel_calls == [1] * len(ch)
 
 
+class TestModelIdentity:
+    def test_models_key_a_dict_and_compare_by_identity(self):
+        xor = cpuf.CpufModel.xor_arbiter(8, 2, 4, 1)
+        ideal = cpuf.CpufModel.ideal(8, 4, 0.5, 1)
+        table = {xor: "xor", ideal: "ideal"}
+        assert table[xor] == "xor" and table[ideal] == "ideal"
+        assert len({xor, ideal, xor}) == 2
+        ch = cpuf.random_challenges(8, 20, derive_rng(52))
+        for build in (lambda: cpuf.CpufModel.xor_arbiter(8, 2, 4, 1),
+                      lambda: cpuf.CpufModel.ideal(8, 4, 0.5, 1)):
+            a, b = build(), build()  # the same seed: the same function, two objects
+            assert np.array_equal(a.eval_batch(ch), b.eval_batch(ch))
+            assert a == a and a != b
+            assert {a: 1, b: 2}[a] == 1
+
+
 class TestStatistics:
     def test_xor_arbiter_ensemble_bias(self):
         # single instances carry O(1/sqrt(n)) bias through the shared feature
