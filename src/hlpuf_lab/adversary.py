@@ -406,6 +406,8 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
     best-so-far weights with the flag set. ``features`` is
     transform_batch(db.challenges) when the caller holds it: the transform
     works row by row, so rows sliced from a larger transform are the same.
+    The training and validation rows stay int8; each mini-batch is widened to
+    float64 once, for both of its matmuls.
     """
     if len(db) == 0:
         raise ValueError("empty database")
@@ -434,7 +436,7 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
             order = rng.permutation(len(y_t))
             for lo in range(0, len(y_t), config.batch_size):
                 idx = order[lo: lo + config.batch_size]
-                pb = phi_t.take(idx, axis=0)
+                pb = phi_t.take(idx, axis=0).astype(np.float64)
                 d = pb @ w.T
                 # err = sigmoid(-dec) - y = -dL/d(dec), with sigmoid(z) = (1 + tanh(z/2)) / 2
                 err = d[:, 0] * d[:, 1] if k == 2 else np.prod(d, axis=1)

@@ -2,6 +2,9 @@
 
 k-XOR additive-delay arbiter chains, evaluated by one kernel (arbiter_bits) that
 the modeling attack's LR model shares, and an ideal biased random function.
+Challenge entries must be 0 or 1. The arbiter features are exact int8 signs;
+arbiter_bits widens them to float64 _CHUNK_ROWS rows at a time, the block size
+in which the ideal function hashes its rows too.
 Evaluation is a pure, noiseless function of (model, challenge), so a model keeps
 each row that CpufModel.eval computes and returns it when the challenge comes
 back: the server, the device's lock and the audit, which share one model, hash a
@@ -19,28 +22,52 @@ KIND_XOR = "xor_arbiter"
 KIND_IDEAL = "ideal"
 
 
-def transform_batch(challenges: np.ndarray) -> np.ndarray:
-    """Arbiter parity features of an (N, n) array of challenge bits: row i holds
-    Phi_j = prod_{l>=j}(1-2c_l) for j = 1..n, then the constant Phi_{n+1} = 1."""
+def _bits(challenges) -> np.ndarray:
+    """``challenges`` as uint8 (no copy when they are uint8 already), or a
+    ValueError if any entry is not 0 or 1."""
     c = np.asarray(challenges)
+    bits = c.astype(np.uint8, copy=False)
+    if bits.size and (bits.max() > 1 or (bits is not c and not np.array_equal(bits, c))):
+        raise ValueError("challenge entries must be 0 or 1")
+    return bits
+
+
+def transform_batch(challenges) -> np.ndarray:
+    """Arbiter parity features of an (N, n) array of challenge bits, as int8: row i
+    holds Phi_j = prod_{l>=j}(1-2c_l) = 1 - 2(c_j ^ ... ^ c_n) for j = 1..n, then the
+    constant Phi_{n+1} = 1."""
+    c = _bits(challenges)
+    if c.ndim != 2:
+        raise ValueError("challenges must be an (N, n) array")
     n = c.shape[1]
-    signs = 1.0 - 2.0 * c.astype(np.float64)
-    out = np.ones((c.shape[0], n + 1))
-    out[:, :n] = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    # suffix parities p, then 1 - 2p in place: 1 or 255, which is the int8 -1
+    signs = np.bitwise_xor.accumulate(c[:, ::-1], axis=1)
+    signs <<= 1
+    np.subtract(1, signs, out=signs)
+    out = np.empty((len(c), n + 1), dtype=np.int8)
+    out[:, :n] = signs[:, ::-1].view(np.int8)
+    out[:, n] = 1
     return out
+
+
+# Rows per block in the two kernels: IdealBiasedPuf.eval's digests and uniforms,
+# and arbiter_bits' float64 features and delays, stay a few hundred KiB whatever
+# the row count.
+_CHUNK_ROWS = 1024
 
 
 def arbiter_bits(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(N, ...) XOR-arbiter bits of (N, n+1) features under (..., k, n+1) chain
-    weights: a bit is 1 iff the product of its k delays <w_l, Phi(c)> is negative."""
-    delays = features @ weights.reshape(-1, weights.shape[-1]).T
-    delays = delays.reshape((features.shape[0],) + weights.shape[:-1])
-    return (np.prod(delays, axis=-1) < 0.0).astype(np.uint8)
-
-
-# Rows hashed per block in IdealBiasedPuf.eval: its digest and uniform scratch
-# stays a few hundred KiB whatever the table size.
-_CHUNK_ROWS = 1024
+    weights: a bit is 1 iff the product of its k delays <w_l, Phi(c)> is negative.
+    The features are widened to float64 _CHUNK_ROWS rows at a time."""
+    w = weights.reshape(-1, weights.shape[-1]).T
+    bits = np.empty((len(features),) + weights.shape[:-2], dtype=np.uint8)
+    for start in range(0, len(features), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        block = features[start:stop].astype(np.float64)
+        delays = (block @ w).reshape((len(block),) + weights.shape[:-1])
+        bits[start:stop] = np.prod(delays, axis=-1) < 0.0
+    return bits
 
 
 @dataclass(frozen=True)
@@ -81,7 +108,7 @@ class IdealBiasedPuf:
     def eval(self, challenges) -> np.ndarray:
         """(..., out_bits) response bits of (..., n) challenge bits, hashed in blocks of
         _CHUNK_ROWS rows so that the scratch is constant in the row count."""
-        c = np.asarray(challenges, dtype=np.uint8)
+        c = _bits(challenges)
         if c.shape[-1:] != (self.n,):
             raise ValueError(f"challenges must have length {self.n}")
         rows = c.reshape(-1, self.n)
@@ -147,7 +174,7 @@ class CpufModel:
         """(N, out_bits) responses for an (N, n) array of challenges; ``features``
         is transform_batch(challenges) when the caller holds it (never for an ideal PUF).
         It neither reads nor fills eval's rows, so its scratch stays constant."""
-        ch = np.asarray(challenges, dtype=np.uint8)
+        ch = np.asarray(challenges)
         if ch.ndim != 2 or ch.shape[1] != self.n:
             raise ValueError(f"challenges must be an (N, {self.n}) array")
         if self.kind == KIND_IDEAL:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from hashlib import sha256
 
@@ -647,6 +648,33 @@ class TestLrTrain:
                          for l in (0, 1)])
         assert np.min(np.abs(grad)) > 1e-6  # every sign is decided
         assert np.array_equal(model.weights, w0 - np.sign(grad) * adversary._STEP_INIT)
+
+    def test_training_copies_are_int8(self, monkeypatch):
+        # the validation rows reach arbiter_bits as int8, and the traced peak
+        # holds no float64 copy of the training rows: 1.8 MiB with numpy 2.4.6,
+        # against 5.8 MiB when the 20,000 x 33 rows were float64
+        truth = CpufModel.xor_arbiter(32, 2, 1, 96)
+        ch = random_challenges(32, 20000, derive_rng(96))
+        db = CrpDatabase(ch, truth.eval_batch(ch))
+        phi = transform_batch(ch)
+        cfg = LrConfig(seed=3, epochs=1, restarts=1)
+        dtypes = []
+
+        def arbiter(features, weights):
+            dtypes.append(features.dtype)
+            return arbiter_bits(features, weights)
+
+        arbiter_bits = adversary.arbiter_bits
+        monkeypatch.setattr(adversary, "arbiter_bits", arbiter)
+        lr_train(CrpDatabase(ch[:100], db.responses[:100]), 0, 2, cfg)
+        tracemalloc.start()
+        try:
+            lr_train(db, 0, 2, cfg, features=phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dtypes and set(dtypes) == {np.dtype(np.int8)}
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("changes", [{"epochs": 0}, {"restarts": 0}])
     def test_needs_an_epoch_and_a_restart(self, changes):
