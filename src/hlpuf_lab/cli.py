@@ -24,6 +24,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -325,27 +326,27 @@ def cmd_protocol(config: ExperimentConfig) -> int:
 # selfcheck
 # ---------------------------------------------------------------------------
 
-def _selfcheck_battery(seed: int):
-    """(name, ok, detail) triples; deterministic for a given seed."""
-    checks = []
-    rng = derive_rng(seed, 99)
+def _check_family(family, rng):
+    errs = family().check()
+    return not errs, "; ".join(errs)
 
-    for fam_name, family in (("bb84", qstate.bb84_family()),
-                             ("mub4", qstate.mub4_family()),
-                             ("mub8", qstate.mub8_family())):
-        errs = family.check()
-        checks.append((f"mub_invariants_{fam_name}", not errs, "; ".join(errs)))
 
+def _check_mub_negative_control(rng):
     corrupted = [b.copy() for b in qstate.mub8_family().bases]
     corrupted[3][0, 0] += 0.05
-    caught = False
     try:
         qstate.MubFamily(8, corrupted)
     except ValueError:
-        caught = True
-    checks.append(("mub_negative_control", caught,
-                   "" if caught else "corrupted basis not detected"))
+        return True, ""
+    return False, "corrupted basis not detected"
 
+
+def _random_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def _check_density_matrix_invariants(rng):
     ok = True
     for _ in range(20):
         states = [qstate.PureState(_random_state(rng, 2)) for _ in range(3)]
@@ -355,10 +356,11 @@ def _selfcheck_battery(seed: int):
             qstate.mixture(list(zip(states, w)))
         except ValueError:
             ok = False
-    checks.append(("density_matrix_invariants", ok, ""))
+    return ok, ""
 
-    ok = True
-    detail = ""
+
+def _check_helstrom_identity(rng):
+    ok, detail = True, ""
     for _ in range(20):
         a = qstate.mixture([(qstate.PureState(_random_state(rng, 2)), 0.5),
                             (qstate.PureState(_random_state(rng, 2)), 0.5)])
@@ -367,17 +369,20 @@ def _selfcheck_battery(seed: int):
         rhs = 0.5 + 0.5 * qstate.trace_distance(a, b)
         if abs(lhs - rhs) > 1e-9:
             ok, detail = False, f"|{lhs} - {rhs}|"
-    checks.append(("helstrom_identity", ok, detail))
+    return ok, detail
 
+
+def _check_born_rule_battery(rng):
     n_samples = 4000
     plus = qstate.bb84_state(0, 1)
     hits = sum(qstate.measure(plus, np.eye(2, dtype=complex), rng)[0] == 0
                for _ in range(n_samples))
     freq = hits / n_samples
     sigma = (0.25 / n_samples) ** 0.5
-    ok = abs(freq - 0.5) <= 3 * sigma
-    checks.append(("born_rule_battery", ok, f"freq={freq}"))
+    return abs(freq - 0.5) <= 3 * sigma, f"freq={freq}"
 
+
+def _check_encode_decode_bijectivity(rng):
     ok = True
     for scheme in SCHEMES.values():
         family = scheme.family()
@@ -387,44 +392,71 @@ def _selfcheck_battery(seed: int):
                 [state] = encode_half(bits, scheme)
                 if family.measure(state, theta, rng) != value:
                     ok = False
-    checks.append(("encode_decode_bijectivity", ok, ""))
+    return ok, ""
 
-    model = CpufModel.xor_arbiter(16, 2, 4, 12345)
+
+# the (n, k, out_bits, seed) of the two CPUF checks' device model
+_SELFCHECK_PUF = (16, 2, 4, 12345)
+
+
+def _check_cpuf_determinism(rng):
+    model = CpufModel.xor_arbiter(*_SELFCHECK_PUF)
     c = rng.integers(0, 2, size=16, dtype=np.uint8)
     # a rebuilt model and the batch path recompute the row that model.eval keeps
     y = model.eval(c)
-    ok = (np.array_equal(y, CpufModel.xor_arbiter(16, 2, 4, 12345).eval(c))
+    ok = (np.array_equal(y, CpufModel.xor_arbiter(*_SELFCHECK_PUF).eval(c))
           and np.array_equal(y, model.eval_batch(c[None])[0]))
-    checks.append(("cpuf_determinism", ok, ""))
+    return ok, ""
 
-    device = HlpufDevice(model, BB84)
-    reply = device.lock_query(c, encode_half(y[:2], BB84), rng)
-    ok = reply is not ABORT and server_verify(y[2:], reply, BB84, rng)
-    checks.append(("honest_round_trip", ok, ""))
 
+def _check_honest_round_trip(rng):
+    """One honest round on a fixed challenge: it draws only the lock's and the server's
+    readouts from ``rng``."""
+    model = CpufModel.xor_arbiter(*_SELFCHECK_PUF)
+    c = np.tile(np.array([0, 1], dtype=np.uint8), 8)
+    y = model.eval(c)
+    reply = HlpufDevice(model, BB84).lock_query(c, encode_half(y[:2], BB84), rng)
+    return reply is not ABORT and server_verify(y[2:], reply, BB84, rng), ""
+
+
+def _check_pinned_binomial_tail(rng):
     pinned = analytics.p_extract_bound(10, 0.2, 1, 0.0, block_success=0.5)
-    checks.append(("pinned_binomial_tail", pinned == 56 / 1024, repr(pinned)))
+    return pinned == 56 / 1024, repr(pinned)
+
+
+def _check_pinned_p_guess_half(rng):
     pg = analytics.p_guess_bound(0.5).value
-    checks.append(("pinned_p_guess_half", abs(pg - (0.5 + 0.5 / np.sqrt(2))) < 1e-12,
-                   repr(pg)))
-    return checks
+    return abs(pg - (0.5 + 0.5 / np.sqrt(2))) < 1e-12, repr(pg)
 
 
-def _random_state(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+# name -> check(rng) -> (ok, detail); the checks run in this order on one generator
+SELFCHECKS = {
+    "mub_invariants_bb84": partial(_check_family, qstate.bb84_family),
+    "mub_invariants_mub4": partial(_check_family, qstate.mub4_family),
+    "mub_invariants_mub8": partial(_check_family, qstate.mub8_family),
+    "mub_negative_control": _check_mub_negative_control,
+    "density_matrix_invariants": _check_density_matrix_invariants,
+    "helstrom_identity": _check_helstrom_identity,
+    "born_rule_battery": _check_born_rule_battery,
+    "encode_decode_bijectivity": _check_encode_decode_bijectivity,
+    "cpuf_determinism": _check_cpuf_determinism,
+    "honest_round_trip": _check_honest_round_trip,
+    "pinned_binomial_tail": _check_pinned_binomial_tail,
+    "pinned_p_guess_half": _check_pinned_p_guess_half,
+}
 
 
 def cmd_selfcheck(config: ExperimentConfig) -> int:
-    checks = _selfcheck_battery(config.seed)
+    rng = derive_rng(config.seed, 99)
     failures = 0
-    for name, ok, detail in checks:
+    for name, check in SELFCHECKS.items():
+        ok, detail = check(rng)
         line = f"{'PASS' if ok else 'FAIL'} {name}"
         if detail and not ok:
             line += f" ({detail})"
         print(line)
         failures += not ok
-    print(f"selfcheck: {len(checks) - failures}/{len(checks)} passed seed={config.seed}")
+    print(f"selfcheck: {len(SELFCHECKS) - failures}/{len(SELFCHECKS)} passed seed={config.seed}")
     return 0 if failures == 0 else 1
 
 
