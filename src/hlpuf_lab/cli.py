@@ -3,9 +3,9 @@
 Subcommands: ``attack-curve`` (forgery accuracy vs training CRPs for the
 plain, unlocked-encoded and locked-encoded devices), ``bounds`` (closed-form
 bound tables), ``protocol`` (authentication sessions with a channel
-adversary), ``selfcheck`` (module invariant battery). Identical (config,
-seed) reruns produce byte-identical CSV/JSON; wall-clock timings go only to
-the opt-in --timing-log side file, which is excluded from that guarantee.
+adversary), ``selfcheck`` (their kernels against closed forms). Identical
+(config, seed) reruns produce byte-identical CSV/JSON; wall-clock timings go
+only to the opt-in --timing-log side file, excluded from that guarantee.
 
 Each setting is declared once, as an ExperimentConfig field whose metadata
 names the commands that take it, its range and choices, and whether it has a
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, qstate
+from . import __version__, adversary, analytics, qstate
 from .adversary import ROUTES, CrpDatabase, LrConfig, LrModel, extraction_stats, lr_train
 from .cpuf import CpufModel, random_challenges, transform_batch
 from .hybrid import ABORT, BB84, SCHEMES, HlpufDevice, encode_half, int_to_bits, server_verify
@@ -50,8 +50,7 @@ _HASH_EXCLUDED = {"out", "timing_log", "threads", "command"}
 _COMMANDS = {"attack-curve": ("forgery accuracy vs training CRPs", "attack_curve.csv"),
              "bounds": ("closed-form bound tables", "bounds.csv"),
              "protocol": ("authentication session with a channel adversary", "protocol_out"),
-             "selfcheck": ("run the module invariant battery", None)}
-_ALL = tuple(_COMMANDS)
+             "selfcheck": ("check the commands' kernels against closed forms", None)}
 _CURVE, _BOUNDS, _PROTOCOL = ("attack-curve",), ("bounds",), ("protocol",)
 
 
@@ -67,7 +66,7 @@ class ExperimentConfig:
     """Serializable experiment description; the hash covers result-defining fields."""
 
     command: str
-    seed: int = _setting(0, _ALL, lo=0)
+    seed: int = _setting(0, tuple(_COMMANDS), lo=0)
     n: int = _setting(32, _CURVE + _PROTOCOL, lo=1)
     k: int = _setting(2, _CURVE + _PROTOCOL, lo=1)
     m: int = _setting(1, _PROTOCOL)
@@ -97,7 +96,7 @@ class ExperimentConfig:
     patience: int = _setting(25, _CURVE, lo=1, flag=False)
     out: str | None = _setting(None, _CURVE + _BOUNDS + _PROTOCOL)  # None: the default name
     timing_log: str | None = _setting(None, _CURVE)
-    threads: int = _setting(1, _ALL, lo=1)
+    threads: int = _setting(1, _CURVE + _BOUNDS + _PROTOCOL, lo=1)
 
     def config_hash(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if k not in _HASH_EXCLUDED}
@@ -323,7 +322,7 @@ def cmd_protocol(config: ExperimentConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selfcheck
+# selfcheck: SELFCHECKS runs in order on one generator; each check returns (ok, detail)
 # ---------------------------------------------------------------------------
 
 def _check_family(family, rng):
@@ -341,78 +340,93 @@ def _check_mub_negative_control(rng):
     return False, "corrupted basis not detected"
 
 
-def _random_state(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _check_split_attack_tables(rng):
+    """First value stages at their Helstrom optimum; bb84's two stages at cos^2(pi/8)."""
+    gaps = []
+    for scheme in SCHEMES.values():
+        value_t, basis_t = adversary.SplitAttack(scheme).tables  # P(1) [prefix, theta, value]
+        used = scheme.bases_used
+        p_one = value_t[0][0, :used]
+        first = np.arange(2 ** scheme.value_bits) >> (scheme.value_bits - 1)
+        success = np.mean(np.where(first == 1, p_one, 1 - p_one))
+        # 1/2 + 1/2 sum|eig(rho_0/2 - rho_1/2)|, rho_b the emitted states of first bit b
+        halves = [scheme.family().columns[:used, first == bit].reshape(-1, scheme.block_dim)
+                  for bit in (0, 1)]
+        rho_0, rho_1 = (h.T @ h.conj() / len(h) for h in halves)
+        gaps.append(success - 0.5 - 0.5 * np.sum(np.abs(np.linalg.eigvalsh((rho_0 - rho_1) / 2))))
+        if basis_t is not None:  # after a right value guess v, on the states (theta, v)
+            p_one = np.stack([basis_t[v, :used, v] for v in (0, 1)])
+            basis = np.mean(np.where(np.arange(used) == 1, p_one, 1 - p_one))
+            gaps += [success - np.cos(np.pi / 8) ** 2, basis - np.cos(np.pi / 8) ** 2]
+    worst = float(np.max(np.abs(gaps)))
+    return worst <= 1e-12, f"max deviation {worst:.3e}"
 
 
-def _check_density_matrix_invariants(rng):
-    ok = True
-    for _ in range(20):
-        states = [qstate.PureState(_random_state(rng, 2)) for _ in range(3)]
-        w = rng.random(3)
-        w /= w.sum()
-        try:
-            qstate.mixture(list(zip(states, w)))
-        except ValueError:
-            ok = False
-    return ok, ""
+def _check_arbiter_bits_oracle(rng):
+    """eval_batch over two kernel blocks against the per-chain product of delays."""
+    model = CpufModel.xor_arbiter(32, 4, 3, 12345)
+    c = random_challenges(32, 1500, rng)
+    # Phi_i = prod_{l>=i} (1 - 2c_l) over c and an appended 0, whose factor is Phi_{n+1} = 1;
+    # bit j is 1 iff prod_l <w_jl, Phi> < 0
+    phi = np.cumprod(1.0 - 2.0 * np.pad(c, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1]
+    delays = np.einsum("ri,jli->rjl", phi, model.weights)
+    wrong = np.count_nonzero(model.eval_batch(c) != (np.prod(delays, axis=2) < 0.0))
+    return wrong == 0, f"{wrong} bits differ"
 
 
-def _check_helstrom_identity(rng):
-    ok, detail = True, ""
-    for _ in range(20):
-        a = qstate.mixture([(qstate.PureState(_random_state(rng, 2)), 0.5),
-                            (qstate.PureState(_random_state(rng, 2)), 0.5)])
-        b = qstate.mixture([(qstate.PureState(_random_state(rng, 2)), 1.0)])
-        lhs = qstate.helstrom_success(a, b, 0.5)
-        rhs = 0.5 + 0.5 * qstate.trace_distance(a, b)
-        if abs(lhs - rhs) > 1e-9:
-            ok, detail = False, f"|{lhs} - {rhs}|"
-    return ok, detail
+def _check_family_born_frequencies(rng):
+    """MubFamily.measure, the lock's and the server's sampler, at the Born rule."""
+    # a family state read in an unbiased basis gives each outcome 1/d; cos(a)|0> +
+    # e^(i phi) sin(a)|1>, outside the family, gives |+> at (1 + sin(2a) cos(phi)) / 2
+    a, phi = np.pi / 8, np.pi / 3
+    p_plus = 0.5 * (1 + np.sin(2 * a) * np.cos(phi))
+    outside = qstate.PureState([np.cos(a), np.exp(1j * phi) * np.sin(a)])
+    cases = [(f, f.basis_state(1, 0), 0, np.full(f.dim, 1 / f.dim))
+             for f in (qstate.bb84_family(), qstate.mub4_family())]
+    cases.append((qstate.bb84_family(), outside, 1, np.array([p_plus, 1 - p_plus])))
+    worst = 0.0
+    for family, state, theta, born in cases:
+        draws = [family.measure(state, theta, rng) for _ in range(4000)]
+        freq = np.bincount(draws, minlength=family.dim) / 4000
+        worst = max(worst, np.max(np.abs(freq - born) / np.sqrt(born * (1 - born) / 4000)))
+    return worst <= 3, f"max deviation {worst:.2f} sigma"
 
 
-def _check_born_rule_battery(rng):
-    n_samples = 4000
-    plus = qstate.bb84_state(0, 1)
-    hits = sum(qstate.measure(plus, np.eye(2, dtype=complex), rng)[0] == 0
-               for _ in range(n_samples))
-    freq = hits / n_samples
-    sigma = (0.25 / n_samples) ** 0.5
-    return abs(freq - 0.5) <= 3 * sigma, f"freq={freq}"
+def _check_multi_copy_basis_error(rng):
+    """K = 2 copies: computational-basis labels exactly, conjugate basis error 2^(1-K)."""
+    values = rng.integers(0, 2, size=4000)
+    z_copies, x_copies = np.repeat(qstate.bb84_family().columns[:, values, None], 2, axis=2)
+    value, basis = adversary.multi_copy_extract_batch(z_copies, rng)
+    exact = np.array_equal(value, values) and not basis.any()
+    _, basis = adversary.multi_copy_extract_batch(x_copies, rng)
+    error = 1 - basis.mean()
+    ok = exact and abs(error - 0.5) <= 3 * np.sqrt(0.25 / 4000)
+    return ok, f"computational labels exact: {exact}, conjugate basis error {error}"
 
 
 def _check_encode_decode_bijectivity(rng):
     ok = True
     for scheme in SCHEMES.values():
-        family = scheme.family()
-        for value in range(2 ** scheme.value_bits):
-            for theta in range(scheme.bases_used):
-                bits = int_to_bits((value << scheme.basis_bits) | theta, scheme.bits_per_block)
-                [state] = encode_half(bits, scheme)
-                if family.measure(state, theta, rng) != value:
-                    ok = False
+        for value, theta in np.ndindex(2 ** scheme.value_bits, scheme.bases_used):
+            bits = int_to_bits((value << scheme.basis_bits) | theta, scheme.bits_per_block)
+            [state] = encode_half(bits, scheme)
+            ok &= scheme.family().measure(state, theta, rng) == value
     return ok, ""
 
 
-# the (n, k, out_bits, seed) of the two CPUF checks' device model
-_SELFCHECK_PUF = (16, 2, 4, 12345)
-
-
 def _check_cpuf_determinism(rng):
-    model = CpufModel.xor_arbiter(*_SELFCHECK_PUF)
+    model = CpufModel.xor_arbiter(16, 2, 4, 12345)
     c = rng.integers(0, 2, size=16, dtype=np.uint8)
     # a rebuilt model and the batch path recompute the row that model.eval keeps
     y = model.eval(c)
-    ok = (np.array_equal(y, CpufModel.xor_arbiter(*_SELFCHECK_PUF).eval(c))
+    ok = (np.array_equal(y, CpufModel.xor_arbiter(16, 2, 4, 12345).eval(c))
           and np.array_equal(y, model.eval_batch(c[None])[0]))
     return ok, ""
 
 
 def _check_honest_round_trip(rng):
-    """One honest round on a fixed challenge: it draws only the lock's and the server's
-    readouts from ``rng``."""
-    model = CpufModel.xor_arbiter(*_SELFCHECK_PUF)
+    """One honest round on a fixed challenge, drawing only the lock's and server's readouts."""
+    model = CpufModel.xor_arbiter(16, 2, 4, 12345)
     c = np.tile(np.array([0, 1], dtype=np.uint8), 8)
     y = model.eval(c)
     reply = HlpufDevice(model, BB84).lock_query(c, encode_half(y[:2], BB84), rng)
@@ -429,15 +443,14 @@ def _check_pinned_p_guess_half(rng):
     return abs(pg - (0.5 + 0.5 / np.sqrt(2))) < 1e-12, repr(pg)
 
 
-# name -> check(rng) -> (ok, detail); the checks run in this order on one generator
 SELFCHECKS = {
-    "mub_invariants_bb84": partial(_check_family, qstate.bb84_family),
-    "mub_invariants_mub4": partial(_check_family, qstate.mub4_family),
-    "mub_invariants_mub8": partial(_check_family, qstate.mub8_family),
+    **{f"mub_invariants_{kind}": partial(_check_family, scheme.family)
+       for kind, scheme in SCHEMES.items()},
     "mub_negative_control": _check_mub_negative_control,
-    "density_matrix_invariants": _check_density_matrix_invariants,
-    "helstrom_identity": _check_helstrom_identity,
-    "born_rule_battery": _check_born_rule_battery,
+    "split_attack_tables": _check_split_attack_tables,
+    "arbiter_bits_oracle": _check_arbiter_bits_oracle,
+    "family_born_frequencies": _check_family_born_frequencies,
+    "multi_copy_basis_error": _check_multi_copy_basis_error,
     "encode_decode_bijectivity": _check_encode_decode_bijectivity,
     "cpuf_determinism": _check_cpuf_determinism,
     "honest_round_trip": _check_honest_round_trip,
@@ -451,10 +464,7 @@ def cmd_selfcheck(config: ExperimentConfig) -> int:
     failures = 0
     for name, check in SELFCHECKS.items():
         ok, detail = check(rng)
-        line = f"{'PASS' if ok else 'FAIL'} {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        print(line)
+        print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail and not ok else ""))
         failures += not ok
     print(f"selfcheck: {len(SELFCHECKS) - failures}/{len(SELFCHECKS)} passed seed={config.seed}")
     return 0 if failures == 0 else 1

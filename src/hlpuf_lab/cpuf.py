@@ -155,7 +155,8 @@ class CpufModel:
     def eval(self, challenge) -> np.ndarray:
         """Response bits for one challenge, read-only; computed at the challenge's
         first evaluation on this model and kept for later ones."""
-        c = np.asarray(challenge, dtype=np.uint8)
+        c = np.asarray(challenge)
+        c = c if c.dtype == np.uint8 else _bits(c)  # a non-bit uint8 row raises below
         if c.shape != (self.n,):
             raise ValueError(f"challenge must have length {self.n}")
         key = c.tobytes()

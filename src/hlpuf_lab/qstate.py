@@ -1,10 +1,10 @@
 """Exact quantum toolkit for pure states and density matrices of dimension 2/4/8.
 
-Construction, projective measurement, trace distance, optimal two-hypothesis
-(Helstrom) discrimination, and mutually unbiased basis families. Everything is
-dense double-precision complex arithmetic; algebraic identities hold to ATOL,
-sampled frequencies to Monte Carlo error. All values are immutable after
-construction and randomness enters only through caller-supplied generators.
+Construction, Born-rule measurement, the optimal two-hypothesis (Helstrom)
+measurement, and mutually unbiased basis families. Everything is dense
+double-precision complex arithmetic; algebraic identities hold to ATOL, sampled
+frequencies to Monte Carlo error. All values are immutable after construction
+and randomness enters only through caller-supplied generators.
 """
 
 from bisect import bisect_right
@@ -96,46 +96,6 @@ def bb84_state(bit: int, basis: int) -> PureState:
     return bb84_family().basis_state(basis, bit)
 
 
-def mixture(states) -> DensityMatrix:
-    """Convex mixture sum_i p_i |psi_i><psi_i| from (PureState, probability) pairs."""
-    states = list(states)
-    if not states:
-        raise ValueError("mixture of nothing")
-    probs = np.array([p for _, p in states], dtype=float)
-    if np.any(probs < -ATOL):
-        raise ValueError("negative probability")
-    if abs(float(probs.sum()) - 1.0) > ATOL:
-        raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
-    dim = states[0][0].dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for psi, p in states:
-        if psi.dim != dim:
-            raise ValueError("dimension mismatch in mixture")
-        acc += p * psi.outer()
-    return DensityMatrix(acc)
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2)||a - b||_1 via the Hermitian spectrum of the difference."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    eig = np.linalg.eigvalsh(a.entries - b.entries)
-    return 0.5 * float(np.sum(np.abs(eig)))
-
-
-def helstrom_success(a: DensityMatrix, b: DensityMatrix, prior_a: float) -> float:
-    """Optimal probability of discriminating a (prior prior_a) from b (prior 1-prior_a).
-
-    Equals (1/2)(1 + ||prior_a*a - (1-prior_a)*b||_1).
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    if not 0.0 <= prior_a <= 1.0:
-        raise ValueError("prior_a must lie in [0, 1]")
-    eig = np.linalg.eigvalsh(prior_a * a.entries - (1.0 - prior_a) * b.entries)
-    return 0.5 * (1.0 + float(np.sum(np.abs(eig))))
-
-
 class TwoOutcomeMeasurement:
     """Projective measurement realizing the Helstrom optimum for one state pair.
 
@@ -149,18 +109,14 @@ class TwoOutcomeMeasurement:
         self.basis = basis
         self.labels = labels
 
-    def probability_a(self, state: PureState) -> float:
-        """Probability of outcome 0 (hypothesis a) on a pure state."""
-        amps = self.basis.conj().T @ state.amplitudes
-        return float(np.sum(np.abs(amps[self.labels == 0]) ** 2))
-
 
 def helstrom_measurement(a: DensityMatrix, b: DensityMatrix,
                          prior_a: float = 0.5) -> TwoOutcomeMeasurement:
     """Projectors onto the nonnegative/negative eigenspaces of prior_a*a - (1-prior_a)*b.
 
     Zero eigenvalues count toward hypothesis a (deterministic tie-break; the
-    success probability is unaffected). Measuring with it attains helstrom_success.
+    success probability is unaffected). Measuring with it attains the Helstrom optimum
+    (1/2)(1 + ||prior_a*a - (1-prior_a)*b||_1).
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")

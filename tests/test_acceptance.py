@@ -15,6 +15,7 @@ from hlpuf_lab.adversary import (GameConfig, LrConfig, multi_copy_extract,
 from hlpuf_lab.cpuf import CpufModel, random_challenges
 from hlpuf_lab.hybrid import BB84, MUB8, HlpufDevice
 from hlpuf_lab.seeding import derive_rng
+from state_helpers import helstrom_success
 
 HELSTROM = 0.5 + 0.5 / np.sqrt(2.0)
 
@@ -50,7 +51,7 @@ def test_criterion_2_mub8_bounds():
            for x in range(8)]
 
     def pd(a, b):
-        return qstate.helstrom_success(a, b, 0.5)
+        return helstrom_success(a, b, 0.5)
 
     def avg(states):
         return qstate.DensityMatrix(sum(s.entries for s in states) / len(states))

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hlpuf_lab import adversary, analytics, cli, cpuf
+from hlpuf_lab import adversary, analytics, cli, cpuf, qstate
 
 
 def run(argv):
@@ -29,6 +30,61 @@ class TestSelfcheck:
         run(["selfcheck", "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestSelfcheckNegativeControls:
+    """Each kernel check fails, and it alone, when the kernel it names is broken."""
+
+    def assert_only_failure(self, capsys, failing):
+        assert run(["selfcheck", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = {line.split()[1]: line.split()[0] for line in lines[:-1]}
+        assert verdicts == {name: "FAIL" if name == failing else "PASS"
+                            for name in cli.SELFCHECKS}
+        assert lines[-1] == f"selfcheck: {len(cli.SELFCHECKS) - 1}/{len(cli.SELFCHECKS)} " \
+                            "passed seed=0"
+
+    def test_perturbed_split_attack_tables(self, capsys, monkeypatch):
+        tables = adversary.SplitAttack.tables.func
+
+        def perturbed(attack):
+            value_t, basis_t = tables(attack)
+            first = value_t[0].copy()
+            first[0, 0, 0] += 1e-9  # P(1) of one (theta, value) in the first value stage
+            return [first, *value_t[1:]], basis_t
+
+        monkeypatch.setattr(adversary.SplitAttack, "tables", property(perturbed))
+        self.assert_only_failure(capsys, "split_attack_tables")
+
+    def test_arbiter_bits_flipping_one_bit(self, capsys, monkeypatch):
+        arbiter_bits = cpuf.arbiter_bits
+
+        def flipped(features, weights):
+            bits = arbiter_bits(features, weights)
+            bits[0, 0] ^= 1
+            return bits
+
+        monkeypatch.setattr(cpuf, "arbiter_bits", flipped)
+        self.assert_only_failure(capsys, "arbiter_bits_oracle")
+
+    def test_family_measure_answering_the_likeliest_outcome(self, capsys, monkeypatch):
+        # right on every state read in its own basis, so encoding and the lock still pass
+        def likeliest(family, state, theta, rng):
+            rng.random()
+            return int(np.argmax(np.abs(family.bases[theta].conj().T @ state.amplitudes)))
+
+        monkeypatch.setattr(qstate.MubFamily, "measure", likeliest)
+        self.assert_only_failure(capsys, "family_born_frequencies")
+
+    def test_multi_copy_always_answering_basis_0(self, capsys, monkeypatch):
+        extract = adversary.multi_copy_extract_batch
+
+        def basis_0(amps, rng):
+            value, basis = extract(amps, rng)
+            return value, np.zeros_like(basis)
+
+        monkeypatch.setattr(adversary, "multi_copy_extract_batch", basis_0)
+        self.assert_only_failure(capsys, "multi_copy_basis_error")
 
 
 class TestConfigHandling:
@@ -55,13 +111,18 @@ class TestConfigHandling:
         session2 = json.loads((out2 / "session.json").read_text())
         assert session2["rounds_completed"] == 2
 
-    def test_selfcheck_threads_checked_before_run(self, capsys, monkeypatch):
+    def test_selfcheck_threads_checked_before_run(self, tmp_path, capsys, monkeypatch):
         def never(config):
             raise AssertionError("the battery ran before the inputs were checked")
 
+        # selfcheck runs in one thread: threads is neither its flag nor its key
         monkeypatch.setattr(cli, "cmd_selfcheck", never)
-        assert run(["selfcheck", "--seed", "1", "--threads", "-1"]) == 2
-        assert "threads must be at least 1" in capsys.readouterr().err
+        assert run(["selfcheck", "--seed", "1", "--threads", "1"]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "threads": 1}))
+        assert run(["selfcheck", "--config", str(cfg)]) == 2
+        assert "unknown config keys for selfcheck: ['threads']" in capsys.readouterr().err
 
     def test_selfcheck_negative_seed_rejected(self, capsys, monkeypatch):
         def never(config):
@@ -331,7 +392,7 @@ class TestCommandSchema:
                   "--scheme --seed --threads --trials --zeta-list",
         "protocol": "--adversary --config --db-size --k --m --n --out --p --puf "
                     "--reuse-cap --rounds --scheme --seed --threads",
-        "selfcheck": "--config --seed --threads",
+        "selfcheck": "--config --seed",
     }
 
     def test_flag_set_of_each_command(self):
@@ -355,6 +416,14 @@ def sha256(path):
 
 class TestGoldenOutputs:
     """Output bytes pinned for fixed seeds; a change that moves them must say so."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "846e34ff424f6b7a68a16ea97835a2a554964664b0a308d4db2345c2970874e3"),
+        (3, "fea2364a1cc5ef773bc09adc42093a93cbde67bf88b5ba4580dcdad833d8e3f2"),
+    ])
+    def test_selfcheck_stdout(self, capsys, seed, digest):
+        assert run(["selfcheck", "--seed", str(seed)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_bounds_monte_carlo_bb84(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -144,6 +144,34 @@ class TestChallengeBits:
         with pytest.raises(ValueError, match="0 or 1"):
             model.eval_batch(ch)
 
+    @pytest.mark.parametrize("kind", ["ideal", "xor"])
+    @pytest.mark.parametrize("bad", [256, 0.5, -1])
+    def test_eval_refuses_entries_that_wrap_before_and_after_the_row_is_kept(self, kind,
+                                                                              bad):
+        # a 256 or a 0.5 once read as a 0 through eval's uint8 memo key: eval returned
+        # the row of the challenge with a 0 there, on its first evaluation too
+        model = build_model(kind, 61)
+        x = cpuf.random_challenges(16, 1, derive_rng(62))[0]
+        x[5] = 0
+        wrapped = x.astype(np.float64 if bad == 0.5 else np.int64)
+        wrapped[5] = bad
+        for _ in range(2):  # before the row of x is kept, then after
+            with pytest.raises(ValueError, match="0 or 1"):
+                model.eval(wrapped)
+            assert np.array_equal(model.eval(x), model.eval_batch(x[None])[0])
+
+    @pytest.mark.parametrize("kind", ["ideal", "xor"])
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_eval_refuses_uint8_non_bits_before_and_after_the_row_is_kept(self, kind, bad):
+        model = build_model(kind, 63)
+        x = cpuf.random_challenges(16, 1, derive_rng(64))[0]
+        wrapped = x.copy()
+        wrapped[5] = bad
+        for _ in range(2):
+            with pytest.raises(ValueError, match="0 or 1"):
+                model.eval(wrapped)
+            model.eval(x)
+
 
 class TestEval:
     def test_deterministic(self):

@@ -25,8 +25,6 @@ PACKAGE = ROOT / "src" / "hlpuf_lab"
 ALLOWED = {
     "run_unforgeability_game": "ROADMAP item 2 wires the game into a command",
     "StoredReplayAdversary": "ROADMAP item 4 wires it into the protocol command",
-    "TwoOutcomeMeasurement.probability_a":
-        "scalar oracle the split-attack table tests compare against",
 }
 
 

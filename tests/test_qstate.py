@@ -3,7 +3,7 @@ import pytest
 
 from hlpuf_lab import qstate
 from hlpuf_lab.seeding import derive_rng
-from state_helpers import same_state
+from state_helpers import helstrom_success, mixture, probability_a, same_state, trace_distance
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -22,7 +22,7 @@ def projectors(meas):
 def random_density(rng, dim, terms=3):
     w = rng.random(terms)
     w /= w.sum()
-    return qstate.mixture([(random_pure(rng, dim), p) for p in w])
+    return mixture([(random_pure(rng, dim), p) for p in w])
 
 
 class TestBb84State:
@@ -66,24 +66,24 @@ class TestPureState:
 
 class TestMixture:
     def test_pure_embedding(self):
-        rho = qstate.mixture([(qstate.bb84_state(0, 0), 1.0)])
+        rho = mixture([(qstate.bb84_state(0, 0), 1.0)])
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_zero_plus_mixture(self):
-        rho = qstate.mixture([(qstate.bb84_state(0, 0), 0.5),
+        rho = mixture([(qstate.bb84_state(0, 0), 0.5),
                               (qstate.bb84_state(0, 1), 0.5)])
         assert np.allclose(rho.entries, [[0.75, 0.25], [0.25, 0.25]], atol=1e-12)
 
     def test_maximally_mixed(self):
-        rho = qstate.mixture([(qstate.bb84_state(0, 0), 0.5),
+        rho = mixture([(qstate.bb84_state(0, 0), 0.5),
                               (qstate.bb84_state(1, 0), 0.5)])
         assert np.allclose(rho.entries, np.eye(2) / 2)
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            qstate.mixture([(qstate.bb84_state(0, 0), 0.7)])
+            mixture([(qstate.bb84_state(0, 0), 0.7)])
         with pytest.raises(ValueError):
-            qstate.mixture([(qstate.bb84_state(0, 0), 1.5),
+            mixture([(qstate.bb84_state(0, 0), 1.5),
                             (qstate.bb84_state(1, 0), -0.5)])
 
     def test_mixtures_are_valid_density_matrices(self):
@@ -114,21 +114,21 @@ class TestTraceDistance:
     def test_orthogonal(self):
         a = qstate.bb84_state(0, 0).density()
         b = qstate.bb84_state(1, 0).density()
-        assert trace_close(qstate.trace_distance(a, b), 1.0)
+        assert trace_close(trace_distance(a, b), 1.0)
 
     def test_identical(self):
         rho = random_density(derive_rng(5), 4)
-        assert trace_close(qstate.trace_distance(rho, rho), 0.0)
+        assert trace_close(trace_distance(rho, rho), 0.0)
 
     def test_value_mixture_pair(self):
         # 1/2|0><0| + 1/2|+><+| vs 1/2|1><1| + 1/2|-><-|
-        a = qstate.mixture([(qstate.bb84_state(0, 0), 0.5), (qstate.bb84_state(0, 1), 0.5)])
-        b = qstate.mixture([(qstate.bb84_state(1, 0), 0.5), (qstate.bb84_state(1, 1), 0.5)])
-        assert trace_close(qstate.trace_distance(a, b), SQRT_HALF)
+        a = mixture([(qstate.bb84_state(0, 0), 0.5), (qstate.bb84_state(0, 1), 0.5)])
+        b = mixture([(qstate.bb84_state(1, 0), 0.5), (qstate.bb84_state(1, 1), 0.5)])
+        assert trace_close(trace_distance(a, b), SQRT_HALF)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            qstate.trace_distance(random_density(derive_rng(6), 2),
+            trace_distance(random_density(derive_rng(6), 2),
                                   random_density(derive_rng(7), 4))
 
 
@@ -140,24 +140,24 @@ class TestHelstromSuccess:
     def test_orthogonal(self):
         a = qstate.bb84_state(0, 0).density()
         b = qstate.bb84_state(1, 0).density()
-        assert trace_close(qstate.helstrom_success(a, b, 0.5), 1.0)
+        assert trace_close(helstrom_success(a, b, 0.5), 1.0)
 
     def test_indistinguishable(self):
         rho = random_density(derive_rng(8), 2)
-        assert trace_close(qstate.helstrom_success(rho, rho, 0.5), 0.5)
+        assert trace_close(helstrom_success(rho, rho, 0.5), 0.5)
 
     def test_value_mixture_pair(self):
-        a = qstate.mixture([(qstate.bb84_state(0, 0), 0.5), (qstate.bb84_state(0, 1), 0.5)])
-        b = qstate.mixture([(qstate.bb84_state(1, 0), 0.5), (qstate.bb84_state(1, 1), 0.5)])
-        assert trace_close(qstate.helstrom_success(a, b, 0.5), 0.5 + 0.5 * SQRT_HALF)
+        a = mixture([(qstate.bb84_state(0, 0), 0.5), (qstate.bb84_state(0, 1), 0.5)])
+        b = mixture([(qstate.bb84_state(1, 0), 0.5), (qstate.bb84_state(1, 1), 0.5)])
+        assert trace_close(helstrom_success(a, b, 0.5), 0.5 + 0.5 * SQRT_HALF)
 
     def test_equals_half_plus_half_trace_distance(self):
         rng = derive_rng(9)
         for dim in (2, 4, 8):
             for _ in range(8):
                 a, b = random_density(rng, dim), random_density(rng, dim)
-                lhs = qstate.helstrom_success(a, b, 0.5)
-                rhs = 0.5 + 0.5 * qstate.trace_distance(a, b)
+                lhs = helstrom_success(a, b, 0.5)
+                rhs = 0.5 + 0.5 * trace_distance(a, b)
                 assert trace_close(lhs, rhs)
 
 
@@ -171,8 +171,8 @@ class TestHelstromMeasurement:
 
     def test_value_mixtures_give_rotated_basis(self):
         # eigenvectors of (Z+X)/2: (cos pi/8, sin pi/8) and its orthogonal complement
-        a = qstate.mixture([(qstate.bb84_state(0, 0), 0.5), (qstate.bb84_state(0, 1), 0.5)])
-        b = qstate.mixture([(qstate.bb84_state(1, 0), 0.5), (qstate.bb84_state(1, 1), 0.5)])
+        a = mixture([(qstate.bb84_state(0, 0), 0.5), (qstate.bb84_state(0, 1), 0.5)])
+        b = mixture([(qstate.bb84_state(1, 0), 0.5), (qstate.bb84_state(1, 1), 0.5)])
         meas = qstate.helstrom_measurement(a, b)
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         expected_a = np.outer([c, s], [c, s])
@@ -193,12 +193,12 @@ class TestHelstromMeasurement:
         # equiprobable hypotheses, each an equal mixture of two states
         a_states = [qstate.bb84_state(0, 0), qstate.bb84_state(0, 1)]
         b_states = [qstate.bb84_state(1, 0), qstate.bb84_state(1, 1)]
-        a = qstate.mixture([(s, 0.5) for s in a_states])
-        b = qstate.mixture([(s, 0.5) for s in b_states])
+        a = mixture([(s, 0.5) for s in a_states])
+        b = mixture([(s, 0.5) for s in b_states])
         meas = qstate.helstrom_measurement(a, b)
-        success = 0.25 * sum(meas.probability_a(s) for s in a_states) \
-            + 0.25 * sum(1 - meas.probability_a(s) for s in b_states)
-        assert abs(success - qstate.helstrom_success(a, b, 0.5)) <= 1e-12
+        success = 0.25 * sum(probability_a(meas, s) for s in a_states) \
+            + 0.25 * sum(1 - probability_a(meas, s) for s in b_states)
+        assert abs(success - helstrom_success(a, b, 0.5)) <= 1e-12
 
 
 class TestMeasure:
