@@ -279,28 +279,28 @@ def split_attack_extract(amps: np.ndarray, scheme: EncodingScheme,
     return _block_bits(value, theta, scheme, amps.shape)
 
 
-def multi_copy_extract_batch(amps: np.ndarray, rng: np.random.Generator):
-    """(value bits, basis bits) for N labels from their K >= 2 qubit copies, amps (N, K, 2).
+def multi_copy_extract_batch(amps: np.ndarray, copies: int, rng: np.random.Generator):
+    """(value bits, basis bits) for N labels' qubits, amps (N, 2), from ``copies`` >= 2 each.
 
     Computational-basis repetition over the copies; the first disagreement
     proves a conjugate-basis state and the next copy, when available, is read
     in the conjugate basis (otherwise the value bit is a coin flip). Every
-    label takes K + 1 uniforms; Z readouts after the first disagreement go unused.
+    label takes copies + 1 uniforms; Z readouts after the first disagreement go
+    unused. The copies are one state, so its Born probabilities are computed once.
     """
     amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 3 or amps.shape[1] < 2:
+    if copies < 2:
         raise ValueError("need at least 2 copies")
-    if amps.shape[2] != 2:
+    if amps.ndim != 2 or amps.shape[1] != 2:
         raise ValueError("copies must be qubits")
-    n, k, _ = amps.shape
+    n, k = len(amps), copies
     z_basis, x_basis = qstate.bb84_family().bases
     u = rng.random((n, k + 1))
-    z = u[:, :k] < _born(amps, z_basis)[..., 1]
+    z = u[:, :k] < _born(amps, z_basis)[:, 1:]
     differs = z[:, 1:] != z[:, :1]
     split = differs.any(axis=1)
     next_copy = np.argmax(differs, axis=1) + 2
-    x_copy = amps[np.arange(n), np.minimum(next_copy, k - 1)]
-    p_x = np.where(next_copy < k, _born(x_copy, x_basis)[:, 1], 0.5)
+    p_x = np.where(next_copy < k, _born(amps, x_basis)[:, 1], 0.5)
     value = np.where(split, u[:, k] < p_x, z[:, 0])
     return value.astype(np.uint8), split.astype(np.uint8)
 
@@ -308,7 +308,7 @@ def multi_copy_extract_batch(amps: np.ndarray, rng: np.random.Generator):
 def multi_copy_extract(copies, rng: np.random.Generator) -> tuple:
     """(value bit, basis bit) from K >= 2 identical conjugate-coding copies."""
     value, basis = multi_copy_extract_batch(
-        np.array([[c.amplitudes for c in copies]]), rng)
+        np.array([copies[0].amplitudes]), len(copies), rng)
     return int(value[0]), int(basis[0])
 
 
@@ -331,9 +331,7 @@ def _split_route(bits, scheme, copies, rng):
 def _multi_copy_route(bits, scheme, copies, rng):
     """Multi-copy extraction: every evaluation of a challenge emits the same qubits."""
     amps = wire_amplitudes(bits, scheme)
-    labels = amps.reshape(-1, 1, amps.shape[2])
-    value, basis = multi_copy_extract_batch(
-        np.broadcast_to(labels, (len(labels), copies, amps.shape[2])), rng)
+    value, basis = multi_copy_extract_batch(amps.reshape(-1, amps.shape[2]), copies, rng)
     return _block_bits(value, basis, scheme, amps.shape)
 
 
@@ -379,90 +377,47 @@ class LrConfig:
 
 @dataclass
 class LrModel:
-    """Product-of-thresholds model: P(bit=1 | c) = sigmoid(-prod_l <w_l, Phi(c)>)."""
+    """Product-of-thresholds models, one per label column: P(bit=1 | c) =
+    sigmoid(-prod_l <w_l, Phi(c)>). ``validation_accuracy`` is the columns' mean of
+    their best validation accuracies; ``diverged`` is set when any column diverged."""
 
-    weights: np.ndarray  # (k, n+1)
+    weights: np.ndarray  # (columns, k, n+1), the shape of CpufModel.weights
     validation_accuracy: float
     diverged: bool = False
 
     def predict(self, challenges: np.ndarray, features: np.ndarray | None = None) -> np.ndarray:
-        """Predicted bits; ``features`` is transform_batch(challenges) when the caller holds it."""
+        """(N, columns) bits, one matmul per column (one over all columns rounds some delays
+        differently); ``features`` is transform_batch(challenges) when the caller holds it."""
         if features is None:
             features = transform_batch(np.asarray(challenges, dtype=np.uint8))
-        return arbiter_bits(features, self.weights)
+        return np.stack([arbiter_bits(features, w) for w in self.weights], axis=1)
 
     def accuracy(self, challenges: np.ndarray, bits: np.ndarray,
-                 features: np.ndarray | None = None) -> float:
+                 features: np.ndarray | None = None) -> np.ndarray:
+        """Per-column share of right bits, against (N, columns) or one (N,) truth for all."""
         predicted = self.predict(challenges, features)
-        return float(np.mean(predicted == np.asarray(bits, dtype=np.uint8)))
+        bits = np.asarray(bits, dtype=np.uint8).reshape(len(predicted), -1)
+        return np.mean(predicted == bits, axis=0)
 
 
-def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
-             features: np.ndarray | None = None) -> LrModel:
-    """Fit one response-bit model by RProp-style mini-batch gradient descent.
-
-    Deterministic per (db, config.seed). Keeps the best of config.restarts
-    random restarts by validation accuracy; a diverging restart returns its
-    best-so-far weights with the flag set. ``features`` is
-    transform_batch(db.challenges) when the caller holds it: the transform
-    works row by row, so rows sliced from a larger transform are the same.
-    The training and validation rows stay int8; each mini-batch is widened to
-    float64 once, for both of its matmuls.
-    """
-    if len(db) == 0:
-        raise ValueError("empty database")
-    if config.epochs < 1 or config.restarts < 1:
-        raise ValueError("epochs and restarts must be at least 1")
-    phi = transform_batch(db.challenges) if features is None else features
-    y = db.responses[:, target].astype(np.float64)
+def _lane(config: LrConfig, phi: np.ndarray, y: np.ndarray, k: int):
+    """One column's fit, a generator that lr_train drives: each epoch it yields (the
+    restart's initial weights on its first epoch, else None; the epoch's table rows in
+    order), and it is sent the weights after the epoch. It returns (best weights, their
+    validation accuracy, diverged). Its draws and stop rule are those of a lone fit."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0x7FFFFFFF, 0x10C157]))
-    n_total = len(y)
-    n_val = max(1, int(round(_VAL_FRACTION * n_total)))
-    perm = rng.permutation(n_total)
+    n_val = max(1, int(round(_VAL_FRACTION * len(y))))
+    perm = rng.permutation(len(y))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if len(train_idx) == 0:
         train_idx = val_idx
     phi_v, y_v = phi[val_idx], y[val_idx]
-    phi_t, y_t = phi[train_idx], y[train_idx]
-
     best_w, best_acc, diverged = None, -1.0, False
     for _ in range(config.restarts):
         w = rng.normal(0.0, 1.0, size=(k, phi.shape[1]))
-        step = np.full_like(w, _STEP_INIT)
-        grad, prev_g = np.empty_like(w), np.zeros_like(w)  # two buffers that swap each step
-        restart_best_w, restart_best_acc = w.copy(), -1.0
-        stall = 0
-        for _epoch in range(config.epochs):
-            order = rng.permutation(len(y_t))
-            for lo in range(0, len(y_t), config.batch_size):
-                idx = order[lo: lo + config.batch_size]
-                pb = phi_t.take(idx, axis=0).astype(np.float64)
-                d = pb @ w.T
-                # err = sigmoid(-dec) - y = -dL/d(dec), with sigmoid(z) = (1 + tanh(z/2)) / 2
-                err = d[:, 0] * d[:, 1] if k == 2 else np.prod(d, axis=1)
-                err *= -0.5
-                np.tanh(err, out=err)
-                err += 1.0
-                err *= 0.5
-                err -= y_t.take(idx)
-                # row l is dL/dw_l = -(err * prod of the other columns) @ pb / B; for
-                # k >= 3 the leave-one-out product keeps np.prod's association
-                for l in range(k):
-                    if k == 1:
-                        v = err
-                    elif k == 2:
-                        v = err * d[:, 1 - l]
-                    else:
-                        v = err * np.prod(np.delete(d, l, axis=1), axis=1)
-                    np.matmul(v, pb, out=grad[l])
-                grad /= -len(idx)
-                agree = grad * prev_g
-                flipped = agree < 0
-                step = np.where(agree > 0, np.minimum(step * _STEP_UP, _STEP_MAX), step)
-                step = np.where(flipped, np.maximum(step * _STEP_DOWN, _STEP_MIN), step)
-                grad[flipped] = 0.0
-                w -= np.sign(grad) * step
-                grad, prev_g = prev_g, grad
+        restart_best_w, restart_best_acc, stall = w.copy(), -1.0, 0
+        for epoch in range(config.epochs):
+            w = yield (w if epoch == 0 else None), train_idx[rng.permutation(len(train_idx))]
             if not np.all(np.isfinite(w)):
                 diverged = True
                 break
@@ -478,7 +433,77 @@ def lr_train(db: CrpDatabase, target: int, k: int, config: LrConfig,
             best_acc, best_w = restart_best_acc, restart_best_w
         if best_acc >= config.stop_validation:
             break
-    return LrModel(weights=best_w, validation_accuracy=best_acc, diverged=diverged)
+    return best_w, best_acc, diverged
+
+
+def lr_train(db: CrpDatabase, k: int, configs, features: np.ndarray | None = None) -> LrModel:
+    """Fit every response column, ``configs`` holding one LrConfig each, by RProp-style
+    mini-batch gradient descent in lockstep: each column is a ``_lane`` of one stacked
+    step (one gather of (lanes, batch, n+1) int8 rows widened to float64 once, one
+    stacked matmul for the delays and one per gradient row, as one over the k rows
+    rounds differently). A lane's weights equal a fit of its column alone, byte for
+    byte; it leaves the stack when it stops. The lanes walk one batch schedule, so
+    their batch_size values must agree. ``features`` is transform_batch(db.challenges)
+    when the caller holds it: rows sliced from a larger transform are the same."""
+    if len(db) == 0 or len(configs) != db.responses.shape[1]:
+        raise ValueError("need a non-empty database and one LrConfig per response column")
+    if any(c.epochs < 1 or c.restarts < 1 for c in configs):
+        raise ValueError("epochs and restarts must be at least 1")
+    if len({c.batch_size for c in configs}) > 1:
+        raise ValueError("the columns' batch_size values differ: the lanes walk one schedule")
+    phi = transform_batch(db.challenges) if features is None else features
+    y, batch = db.responses.astype(np.float64), configs[0].batch_size
+    lanes = [_lane(c, phi, y[:, j], k) for j, c in enumerate(configs)]
+    w, rows = (np.stack(a) for a in zip(*(next(lane) for lane in lanes)))  # (lanes, k, n+1)
+    step = np.full_like(w, _STEP_INIT)
+    grad, prev_g = np.empty_like(w), np.zeros_like(w)  # two buffers that swap each step
+    active, fits = list(range(len(lanes))), [None] * len(lanes)
+    while active:
+        labels = y[rows, np.array(active)[:, None]]
+        for lo in range(0, rows.shape[1], batch):
+            pb = phi.take(rows[:, lo: lo + batch], axis=0).astype(np.float64)
+            d = pb @ w.transpose(0, 2, 1)
+            # err = sigmoid(-dec) - y = -dL/d(dec), with sigmoid(z) = (1 + tanh(z/2)) / 2
+            err = d[..., 0] * d[..., 1] if k == 2 else np.prod(d, axis=2)
+            err *= -0.5
+            np.tanh(err, out=err)
+            err += 1.0
+            err *= 0.5
+            err -= labels[:, lo: lo + batch]
+            # row l is dL/dw_l = -(err * prod of the other columns) @ pb / B; for
+            # k >= 3 the leave-one-out product keeps np.prod's association
+            for l in range(k):
+                if k == 1:
+                    v = err
+                elif k == 2:
+                    v = err * d[..., 1 - l]
+                else:
+                    v = err * np.prod(np.delete(d, l, axis=2), axis=2)
+                np.matmul(v[:, None, :], pb, out=grad[:, l, None])
+            grad /= -pb.shape[1]
+            agree = grad * prev_g
+            flipped = agree < 0
+            step = np.where(agree > 0, np.minimum(step * _STEP_UP, _STEP_MAX), step)
+            step = np.where(flipped, np.maximum(step * _STEP_DOWN, _STEP_MIN), step)
+            grad[flipped] = 0.0
+            w -= np.sign(grad) * step
+            grad, prev_g = prev_g, grad
+        keep, next_rows = [], []
+        for i, j in enumerate(active):
+            try:
+                restart, lane_rows = lanes[j].send(w[i])
+            except StopIteration as stop:
+                fits[j] = stop.value
+                continue
+            if restart is not None:
+                w[i], step[i], prev_g[i] = restart, _STEP_INIT, 0.0
+            keep.append(i)
+            next_rows.append(lane_rows)
+        active, rows = [active[i] for i in keep], np.array(next_rows)
+        w, step, grad, prev_g = w[keep], step[keep], grad[keep], prev_g[keep]
+    weights, accuracies, diverged = zip(*fits)
+    return LrModel(weights=np.stack(weights), validation_accuracy=float(np.mean(accuracies)),
+                   diverged=any(diverged))
 
 
 def extraction_stats(true_responses: np.ndarray, extracted: np.ndarray) -> dict:
@@ -605,20 +630,18 @@ def run_unforgeability_game(target: str, strategy: str, q: int, trials: int,
         lr = replace(config.lr, seed=int(child.integers(0, 2**31 - 1)))
         learn = spec.learners[target]
         db = learn(device, q, config, child) if learn else None
-        models = None
+        model = None
         if db is not None:  # one bit model per verified column, the last ``surface``
-            phi = transform_batch(db.challenges)
-            models = [lr_train(db, t, config.k, replace(lr, seed=lr.seed + 1009 * t),
-                               features=phi)
-                      for t in range(db.responses.shape[1])[-surface:]]
+            columns = range(db.responses.shape[1])[-surface:]
+            model = lr_train(CrpDatabase(db.challenges, db.responses[:, -surface:]), config.k,
+                             [replace(lr, seed=lr.seed + 1009 * t) for t in columns])
 
         wins = 0
         for _c in range(config.challenges_per_trial):
             x_star = child.integers(0, 2, size=config.n, dtype=np.uint8)
             truth = cpuf.eval(x_star)[-surface:]
-            if models is not None:
-                forged = np.array([mdl.predict(x_star[None, :])[0] for mdl in models],
-                                  dtype=np.uint8)
+            if model is not None:
+                forged = model.predict(x_star[None, :])[0]
             elif spec.exact:
                 forged = truth
             else:

@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 invariant or run-time failure, 2 configuration error
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
@@ -167,8 +168,8 @@ def _curve_labels(mode: str, bits, config: ExperimentConfig, rng):
 
 
 def _curve_task(payload):
-    """One curve seed: draw, evaluate and transform its challenges once, then
-    extract labels and train across the q grid for every learning route."""
+    """One curve seed: draw, evaluate and transform its challenges once, extract every
+    learning route's labels, then fit all routes in one lockstep lr_train call per q."""
     cfg_dict, seed_index = payload
     config = ExperimentConfig(**cfg_dict)
     rng = derive_rng(config.seed, 1, seed_index)
@@ -182,33 +183,32 @@ def _curve_task(payload):
     bits = cpuf.eval_batch(challenges, features=phi)
     test_ch, test_phi, test_bits = challenges[q_max:], phi[q_max:], bits[q_max:, 0]
 
-    rows = []
-    for mode_index, mode in enumerate(CURVE_MODES):
-        label_rng = derive_rng(config.seed, 2, seed_index, mode_index)
-        labels = _curve_labels(mode, bits[:q_max], config, label_rng)
-        if q_max > 0:
-            stats = extraction_stats(bits[:q_max, :1], labels[:, None])
+    labels = [_curve_labels(mode, bits[:q_max], config,
+                            derive_rng(config.seed, 2, seed_index, mode_index))
+              for mode_index, mode in enumerate(CURVE_MODES)]
+    stats = [extraction_stats(bits[:q_max, :1], col[:, None]) if q_max > 0
+             else {"bit_rate": 1.0, "epsilon": 0.0} for col in labels]
+    labels = np.stack(labels, axis=1)  # (q_max, modes): one lockstep fit per q
+    cells = {}
+    for q in sorted(config.q_grid):
+        t0 = time.perf_counter()
+        lr_seeds = [int(derive_rng(config.seed, 3, seed_index, mode_index, q)
+                        .integers(0, 2**31 - 1)) for mode_index in range(len(CURVE_MODES))]
+        if q == 0:
+            # nothing to learn from: an untrained random model guesses
+            w = [np.random.default_rng(s).normal(size=(config.k, config.n + 1)) for s in lr_seeds]
+            model = LrModel(weights=np.stack(w), validation_accuracy=0.5)
         else:
-            stats = {"bit_rate": 1.0, "epsilon": 0.0}
-        for q in sorted(config.q_grid):
-            t0 = time.perf_counter()
-            lr_seed = int(derive_rng(config.seed, 3, seed_index, mode_index,
-                                     q).integers(0, 2**31 - 1))
-            if q == 0:
-                # nothing to learn from: an untrained random model guesses
-                w = np.random.default_rng(lr_seed).normal(size=(config.k, config.n + 1))
-                model = LrModel(weights=w, validation_accuracy=0.5)
-            else:
-                db = CrpDatabase(challenges[:q], labels[:q, None])
-                model = lr_train(db, 0, config.k, config.lr_config(lr_seed), features=phi[:q])
-            accuracy = model.accuracy(test_ch, test_bits, features=test_phi)
-            runtime = time.perf_counter() - t0
-            rows.append(AttackResult(
-                seed=seed_index, q=q, scheme=config.scheme, k=config.k, n=config.n,
-                m=config.m, mode=mode, test_accuracy=accuracy,
-                extraction_bit_rate=stats["bit_rate"],
-                epsilon_measured=stats["epsilon"], runtime_s=runtime))
-    return rows
+            model = lr_train(CrpDatabase(challenges[:q], labels[:q]), config.k,
+                             [config.lr_config(s) for s in lr_seeds], features=phi[:q])
+        accuracy = model.accuracy(test_ch, test_bits, features=test_phi).tolist()
+        cells[q] = accuracy, time.perf_counter() - t0
+    return [AttackResult(
+        seed=seed_index, q=q, scheme=config.scheme, k=config.k, n=config.n, m=config.m,
+        mode=mode, test_accuracy=cells[q][0][mode_index],
+        extraction_bit_rate=stats[mode_index]["bit_rate"],
+        epsilon_measured=stats[mode_index]["epsilon"], runtime_s=cells[q][1])
+        for mode_index, mode in enumerate(CURVE_MODES) for q in sorted(config.q_grid)]
 
 
 def cmd_attack_curve(config: ExperimentConfig) -> int:
@@ -325,6 +325,22 @@ def cmd_protocol(config: ExperimentConfig) -> int:
 # selfcheck: SELFCHECKS runs in order on one generator; each check returns (ok, detail)
 # ---------------------------------------------------------------------------
 
+# Each statistical case is one Pearson chi-square test of its outcome counts. Working code
+# fails a selfcheck run by chance at most once in 1e4, split evenly over the 4 tests.
+_FALSE_FAILURE = 1e-4 / 4
+
+
+def _chi_square_p(counts, probs) -> float:
+    """P-value of Pearson's chi-square test of outcome counts against their probabilities:
+    Q(df/2, x/2), the upper regularized gamma function, by its recurrence in df."""
+    expected = np.sum(counts) * np.asarray(probs)
+    y, df = float(np.sum((counts - expected) ** 2 / expected)) / 2, len(counts) - 1
+    start, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    for a in np.arange(start, df / 2):  # Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1)
+        q += y ** a * math.exp(-y) / math.gamma(a + 1)
+    return q
+
+
 def _check_family(family, rng):
     errs = family().check()
     return not errs, "; ".join(errs)
@@ -384,24 +400,24 @@ def _check_family_born_frequencies(rng):
     cases = [(f, f.basis_state(1, 0), 0, np.full(f.dim, 1 / f.dim))
              for f in (qstate.bb84_family(), qstate.mub4_family())]
     cases.append((qstate.bb84_family(), outside, 1, np.array([p_plus, 1 - p_plus])))
-    worst = 0.0
+    p_min = 1.0
     for family, state, theta, born in cases:
         draws = [family.measure(state, theta, rng) for _ in range(4000)]
-        freq = np.bincount(draws, minlength=family.dim) / 4000
-        worst = max(worst, np.max(np.abs(freq - born) / np.sqrt(born * (1 - born) / 4000)))
-    return worst <= 3, f"max deviation {worst:.2f} sigma"
+        p_min = min(p_min, _chi_square_p(np.bincount(draws, minlength=family.dim), born))
+    return p_min >= _FALSE_FAILURE, f"smallest chi-square p-value {p_min:.2e}"
 
 
 def _check_multi_copy_basis_error(rng):
     """K = 2 copies: computational-basis labels exactly, conjugate basis error 2^(1-K)."""
     values = rng.integers(0, 2, size=4000)
-    z_copies, x_copies = np.repeat(qstate.bb84_family().columns[:, values, None], 2, axis=2)
-    value, basis = adversary.multi_copy_extract_batch(z_copies, rng)
+    z_labels, x_labels = qstate.bb84_family().columns[:, values]
+    value, basis = adversary.multi_copy_extract_batch(z_labels, 2, rng)
     exact = np.array_equal(value, values) and not basis.any()
-    _, basis = adversary.multi_copy_extract_batch(x_copies, rng)
+    _, basis = adversary.multi_copy_extract_batch(x_labels, 2, rng)
     error = 1 - basis.mean()
-    ok = exact and abs(error - 0.5) <= 3 * np.sqrt(0.25 / 4000)
-    return ok, f"computational labels exact: {exact}, conjugate basis error {error}"
+    p = _chi_square_p(np.bincount(basis, minlength=2), [0.5, 0.5])
+    return exact and p >= _FALSE_FAILURE, (f"computational labels exact: {exact}, "
+                                           f"conjugate basis error {error} (p-value {p:.2e})")
 
 
 def _check_encode_decode_bijectivity(rng):

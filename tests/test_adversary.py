@@ -1,6 +1,8 @@
+import importlib.util
 import tracemalloc
 from dataclasses import replace
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,12 +387,43 @@ class TestLearningRoutes:
         bits = self.response_bits(BB84, m, 500, 152)
         rng_got, rng_want = TestSamplerGeneratorState.buffered_pair(153)
         got = adversary.ROUTES["multi_copy"](bits, BB84, copies, rng_got)
-        labels = BB84.family().columns[bits[:, 1::2], bits[:, 0::2]].reshape(-1, 1, 2)
-        value, basis = multi_copy_extract_batch(
-            np.broadcast_to(labels, (len(labels), copies, 2)), rng_want)
+        labels = BB84.family().columns[bits[:, 1::2], bits[:, 0::2]].reshape(-1, 2)
+        value, basis = multi_copy_extract_batch(labels, copies, rng_want)
         want = np.stack([value, basis], axis=1).reshape(len(bits), -1)
         assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    # SHA-256 of the route's labels and the generator's next uniform, computed when the
+    # kernel still took the (N, K, 2) broadcast of every label's copies
+    MULTI_COPY_PINS = [
+        (1, 2, 3000, "81db524e6e38190ab0bb411d4f0af7c034db4ba64dd52fbbdba8255182e520cf",
+         0.18328181393993326),
+        (8, 7, 2000, "64735fb14564db05743b3ae92f28c75f401de6e5c83d08d1da509e16530e9e66",
+         0.5207031015917942),
+        (4, 10, 1000, "c3c3eec966727475f3a2249db28518f4ebdfd4d5339a7dd74ed3a1d1497df5ce",
+         0.7156811958702888),
+    ]
+
+    @pytest.mark.parametrize("m,copies,rows,digest,next_uniform", MULTI_COPY_PINS)
+    def test_multi_copy_route_keeps_its_draws(self, m, copies, rows, digest, next_uniform):
+        bits = derive_rng(160, m).integers(0, 2, size=(rows, BB84.out_bits(m)), dtype=np.uint8)
+        rng = derive_rng(161, m, copies)
+        got = adversary.ROUTES["multi_copy"](bits, BB84, copies, rng)
+        assert sha256(got.tobytes()).hexdigest() == digest
+        assert rng.random() == next_uniform
+
+    def test_multi_copy_route_memory_is_per_label(self):
+        # criterion 5's scale, 50,000 labels of 7 copies: 8.0 MiB with numpy 2.4.6, against
+        # 20.6 MiB when Born was computed for each of the 350,000 copies
+        bits = derive_rng(170).integers(0, 2, size=(50000, 2), dtype=np.uint8)
+        adversary.ROUTES["multi_copy"](bits[:10], BB84, 7, derive_rng(171))
+        tracemalloc.start()
+        try:
+            adversary.ROUTES["multi_copy"](bits, BB84, 7, derive_rng(171))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_clean_route_is_the_responses_and_draws_nothing(self):
         bits = self.response_bits(MUB4, 4, 20, 154)
@@ -503,8 +536,7 @@ class TestMultiCopyExtract:
         bases = rng.integers(0, 2, size=n)
         amps = np.array([qstate.bb84_state(int(v), int(b)).amplitudes
                          for v, b in zip(values, bases)])
-        copies = np.broadcast_to(amps[:, None, :], (n, 3, 2))
-        value, basis = multi_copy_extract_batch(copies, rng)
+        value, basis = multi_copy_extract_batch(amps, 3, rng)
         z = bases == 0
         assert np.array_equal(value[z], values[z]) and not basis[z].any()
         sigma = np.sqrt(0.75 * 0.25 / (~z).sum())
@@ -525,8 +557,8 @@ class TestLrTrain:
 
     def test_single_chain_learnable(self):
         db, test_ch, test_bits = self._clean_db(16, 1, 5000, 71)
-        model = lr_train(db, 0, 1, LrConfig(seed=1, epochs=300, patience=40,
-                                            batch_size=1024, stop_validation=0.997))
+        model = lr_train(db, 1, [LrConfig(seed=1, epochs=300, patience=40,
+                                          batch_size=1024, stop_validation=0.997)])
         assert model.accuracy(test_ch, test_bits) >= 0.98
         assert not model.diverged
 
@@ -535,14 +567,14 @@ class TestLrTrain:
         # bit j's chain weights reproduces bit j
         device = CpufModel.xor_arbiter(24, 3, 2, 88)
         ch = random_challenges(24, 5000, derive_rng(88, 1))
-        model = LrModel(weights=device.weights[1], validation_accuracy=1.0)
-        assert model.accuracy(ch, device.eval_batch(ch)[:, 1]) == 1.0
+        model = LrModel(weights=device.weights[1:2], validation_accuracy=1.0)
+        assert model.accuracy(ch, device.eval_batch(ch)[:, 1:2]) == 1.0
 
     def test_deterministic_per_seed(self):
         db, _, _ = self._clean_db(12, 1, 800, 72)
         cfg = LrConfig(seed=5, epochs=30, restarts=2)
-        m1 = lr_train(db, 0, 1, cfg)
-        m2 = lr_train(db, 0, 1, cfg)
+        m1 = lr_train(db, 1, [cfg])
+        m2 = lr_train(db, 1, [cfg])
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.validation_accuracy == m2.validation_accuracy
 
@@ -557,7 +589,7 @@ class TestLrTrain:
         for pair in range(12):
             ch = random_challenges(16, 2000, rng)
             labels = rng.integers(0, 2, size=(2000, 1), dtype=np.uint8)
-            model = lr_train(CrpDatabase(ch, labels), 0, 1, cfg)
+            model = lr_train(CrpDatabase(ch, labels), 1, [cfg])
             truth_model = CpufModel.xor_arbiter(16, 1, 1, 740 + pair)
             accs.append(model.accuracy(test_ch, truth_model.eval_batch(test_ch)[:, 0]))
         mean = float(np.mean(accs))
@@ -572,14 +604,14 @@ class TestLrTrain:
         clean_db = CrpDatabase(ch[:4000], bits[:4000])
         noisy_db = CrpDatabase(ch[:4000], bits[:4000] ^ flips)
         cfg = LrConfig(seed=3, epochs=60, restarts=2, patience=15)
-        clean_acc = lr_train(clean_db, 0, 1, cfg).accuracy(ch[4000:], bits[4000:, 0])
-        noisy_acc = lr_train(noisy_db, 0, 1, cfg).accuracy(ch[4000:], bits[4000:, 0])
+        clean_acc = lr_train(clean_db, 1, [cfg]).accuracy(ch[4000:], bits[4000:, 0])
+        noisy_acc = lr_train(noisy_db, 1, [cfg]).accuracy(ch[4000:], bits[4000:, 0])
         assert clean_acc >= noisy_acc
 
     def test_empty_database_rejected(self):
         with pytest.raises(ValueError):
             lr_train(CrpDatabase(np.zeros((0, 4), dtype=np.uint8),
-                                 np.zeros((0, 1), dtype=np.uint8)), 0, 1, LrConfig())
+                                 np.zeros((0, 1), dtype=np.uint8)), 1, [LrConfig()])
 
     def test_mean_clean_accuracy_beats_extracted_over_ten_seeds(self):
         # simulated modeling gap: at fixed q the clean database trains at
@@ -600,9 +632,9 @@ class TestLrTrain:
             noisy_db = CrpDatabase(ch[:q], guessed[:, None].astype(np.uint8))
             lr = LrConfig(seed=seed, epochs=cfg.epochs, restarts=cfg.restarts,
                           patience=cfg.patience, batch_size=cfg.batch_size)
-            clean_accs.append(lr_train(clean_db, 0, 1, lr)
+            clean_accs.append(lr_train(clean_db, 1, [lr])
                               .accuracy(ch[q:], bits[q:, 0]))
-            extracted_accs.append(lr_train(noisy_db, 0, 1, lr)
+            extracted_accs.append(lr_train(noisy_db, 1, [lr])
                                   .accuracy(ch[q:], bits[q:, 0]))
         assert np.mean(clean_accs) >= np.mean(extracted_accs)
 
@@ -617,8 +649,8 @@ class TestLrTrain:
             cfg = LrConfig(seed=seed, epochs=6, restarts=2, batch_size=128, patience=3)
             want_w, want_acc, want_diverged = reference_lr_train(db, 0, k, cfg)
             # features sliced from a larger transform are the transform of the slice
-            for got in (lr_train(db, 0, k, cfg),
-                        lr_train(db, 0, k, cfg, features=transform_batch(ch)[:q])):
+            for got in (lr_train(db, k, [cfg]),
+                        lr_train(db, k, [cfg], features=transform_batch(ch)[:q])):
                 assert sha256(got.weights.tobytes()).hexdigest() == \
                     sha256(want_w.tobytes()).hexdigest()
                 assert (got.validation_accuracy, got.diverged) == (want_acc, want_diverged)
@@ -634,7 +666,7 @@ class TestLrTrain:
         ch = random_challenges(n, q, derive_rng(94))
         db = CrpDatabase(ch, truth.eval_batch(ch))
         cfg = LrConfig(seed=seed, epochs=1, restarts=1)
-        model = lr_train(db, 0, 2, cfg)
+        model = lr_train(db, 2, [cfg])
 
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10C157]))
         train = rng.permutation(q)[10:]
@@ -647,7 +679,7 @@ class TestLrTrain:
         grad = np.stack([np.mean(((y - p_one) * d[:, 1 - l])[:, None] * phi, axis=0)
                          for l in (0, 1)])
         assert np.min(np.abs(grad)) > 1e-6  # every sign is decided
-        assert np.array_equal(model.weights, w0 - np.sign(grad) * adversary._STEP_INIT)
+        assert np.array_equal(model.weights[0], w0 - np.sign(grad) * adversary._STEP_INIT)
 
     def test_training_copies_are_int8(self, monkeypatch):
         # the validation rows reach arbiter_bits as int8, and the traced peak
@@ -666,10 +698,10 @@ class TestLrTrain:
 
         arbiter_bits = adversary.arbiter_bits
         monkeypatch.setattr(adversary, "arbiter_bits", arbiter)
-        lr_train(CrpDatabase(ch[:100], db.responses[:100]), 0, 2, cfg)
+        lr_train(CrpDatabase(ch[:100], db.responses[:100]), 2, [cfg])
         tracemalloc.start()
         try:
-            lr_train(db, 0, 2, cfg, features=phi)
+            lr_train(db, 2, [cfg], features=phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -680,7 +712,71 @@ class TestLrTrain:
     def test_needs_an_epoch_and_a_restart(self, changes):
         db, _, _ = self._clean_db(8, 1, 50, 95)
         with pytest.raises(ValueError, match="at least 1"):
-            lr_train(db, 0, 1, replace(LrConfig(), **changes))
+            lr_train(db, 1, [replace(LrConfig(), **changes)])
+
+
+class TestLrLanes:
+    """A multi-column lr_train against reference_lr_train of each column alone."""
+
+    # Per column: its own seed, epochs, restarts, patience and stop rule. At q = 300 the
+    # lanes run 24, 6, 5 and 1 epochs over 3, 2, 1 and 1 restarts for k = 1 (11, 6, 18
+    # and 1 epochs for k = 2), so they leave the stack at different epochs, and lanes
+    # restart while others still train.
+    LANES = [LrConfig(seed=11, epochs=8, restarts=3, batch_size=128, patience=2),
+             LrConfig(seed=12, epochs=3, restarts=2, batch_size=128),
+             LrConfig(seed=13, epochs=9, restarts=2, batch_size=128, patience=9,
+                      stop_validation=0.75),
+             LrConfig(seed=14, epochs=5, restarts=1, batch_size=128, stop_validation=0.0)]
+
+    @staticmethod
+    def table(k, q, seed):
+        """q rows of a 4-bit device, its last column with 20% label noise."""
+        truth = CpufModel.xor_arbiter(12, k, 4, 970 + seed)
+        ch = random_challenges(12, q, derive_rng(97, seed, q))
+        bits = truth.eval_batch(ch)
+        bits[:, 3] ^= derive_rng(98, seed, q).random(q) < 0.2
+        return CrpDatabase(ch, bits)
+
+    # q = 300 leaves 270 training rows, a tail batch of 14; q = 1 trains on its one
+    # validation row
+    @pytest.mark.parametrize("q", [1, 300])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_lane_is_the_lone_fit_of_its_column(self, k, q):
+        db = self.table(k, q, k)
+        model = lr_train(db, k, self.LANES)
+        want = [reference_lr_train(db, j, k, cfg) for j, cfg in enumerate(self.LANES)]
+        assert model.weights.shape == (len(self.LANES), k, 13)
+        for got_w, (want_w, _, _) in zip(model.weights, want):
+            assert sha256(got_w.tobytes()).hexdigest() == sha256(want_w.tobytes()).hexdigest()
+        assert model.validation_accuracy == np.mean([acc for _, acc, _ in want])
+        assert model.diverged == any(diverged for _, _, diverged in want)
+        test_ch = random_challenges(12, 500, derive_rng(99, k))
+        phi = transform_batch(test_ch)
+        lone = np.stack([np.prod(phi @ w.T, axis=1) < 0.0 for w, _, _ in want], axis=1)
+        assert np.array_equal(model.predict(test_ch), lone)
+        assert np.array_equal(model.accuracy(test_ch, db.responses[:1].repeat(500, axis=0)),
+                              np.mean(lone == db.responses[:1], axis=0))
+
+    def test_lanes_share_one_batch_size(self):
+        db = self.table(1, 50, 0)
+        with pytest.raises(ValueError, match="batch_size"):
+            lr_train(db, 1, self.LANES[:3] + [replace(self.LANES[3], batch_size=64)])
+        with pytest.raises(ValueError, match="one LrConfig per"):
+            lr_train(db, 1, self.LANES[:3])
+
+    def test_a_traced_call_records_a_float_validation_sum(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        db = self.table(2, 300, 5)
+        rec = spans.SpanRecorder()
+        with spans.Tracer(rec):
+            model = adversary.lr_train(db, 2, self.LANES)
+        total = rec.counters["adversary.lr_train.val_acc_sum"]
+        assert type(total) is float and total == model.validation_accuracy
+        assert rec.counters["adversary.lr_train.train_crps"] == 300
+        assert rec.layer_totals()["adversary.lr_train"][0] == 1
 
 
 def reference_lr_train(db, target, k, config):
@@ -691,6 +787,8 @@ def reference_lr_train(db, target, k, config):
     n_val = max(1, int(round(adversary._VAL_FRACTION * len(y))))
     perm = rng.permutation(len(y))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
+    if len(train_idx) == 0:  # a 1-row table trains on its validation row
+        train_idx = val_idx
     phi_v, y_v = phi[val_idx], y[val_idx]
     phi_t, y_t = phi[train_idx], y[train_idx]
     best_w, best_acc, diverged = None, -1.0, False

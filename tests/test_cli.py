@@ -79,8 +79,8 @@ class TestSelfcheckNegativeControls:
     def test_multi_copy_always_answering_basis_0(self, capsys, monkeypatch):
         extract = adversary.multi_copy_extract_batch
 
-        def basis_0(amps, rng):
-            value, basis = extract(amps, rng)
+        def basis_0(amps, copies, rng):
+            value, basis = extract(amps, copies, rng)
             return value, np.zeros_like(basis)
 
         monkeypatch.setattr(adversary, "multi_copy_extract_batch", basis_0)
@@ -652,6 +652,28 @@ class TestAttackCurveCommand:
         timing = (tmp_path / "t.csv").read_text().strip().split("\n")
         assert timing[0] == "seed,q,scheme,k,n,m,mode,accuracy,bit_rate,epsilon_measured,runtime_ms"
         assert len(timing) == len(rows) + 1
+
+    def test_one_lockstep_fit_per_q(self, tmp_path, monkeypatch):
+        # every mode's labels train in one lr_train call per q > 0, and the timing log
+        # gives that call's time on each of its mode rows
+        calls = []
+        lr_train = cli.lr_train
+
+        def counted(db, k, configs, features=None):
+            calls.append((len(db), db.responses.shape[1], len(configs)))
+            return lr_train(db, k, configs, features=features)
+
+        monkeypatch.setattr(cli, "lr_train", counted)
+        timing = tmp_path / "t.csv"
+        assert run(["attack-curve", "--seed", "25", "--n", "10", "--k", "1",
+                    "--q-grid", "0,90,150", "--curve-seeds", "1", "--test-size", "600",
+                    "--epochs", "10", "--restarts", "1", "--out", str(tmp_path / "c.csv"),
+                    "--timing-log", str(timing)]) == 0
+        assert calls == [(90, 3, 3), (150, 3, 3)]
+        rows = [ln.split(",") for ln in timing.read_text().strip().split("\n")[1:]]
+        for q in ("0", "90", "150"):
+            assert len({(r[6], r[10]) for r in rows if r[1] == q}) == 3
+            assert len({r[10] for r in rows if r[1] == q}) == 1
 
     def test_q_zero_row_is_noise_floor(self, tmp_path):
         out = tmp_path / "c.csv"
