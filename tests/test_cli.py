@@ -432,6 +432,15 @@ class TestGoldenOutputs:
         assert sha256(out) == \
             "689e578a2dd91f3dfffb1a68d3ba1ab9faa8b380e4c0f3a4121a75d7d63fee38"
 
+    def test_bounds_monte_carlo_bb84_biased(self, tmp_path):
+        # at p = 0.5 the value stage's P(1) by code is [s, 1 - s, s, 1 - s] whatever
+        # the theta; at p = 0.7 the tables' theta axis shows in the counts
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--seed", "5", "--trials", "200", "--p", "0.7",
+                    "--m-list", "1,3", "--q-grid", "10,100", "--out", str(out)]) == 0
+        assert sha256(out) == \
+            "6c27db1ad5248a3f9016322fd05e1ec512345801cdb58183ac435b841d6825df"
+
     @pytest.mark.parametrize("scheme,m_list,digest", [
         ("mub4", "2,4", "4db212df9efc73fa653242a10a3ffdc25bb4b9886573c7161cfa98cd0f3954c6"),
         ("mub8", "3,6", "3deab905cc50b0468e95403fc58df59d7415ca031c3f65db3adeb7edc433516a"),
