@@ -70,14 +70,6 @@ def _positioned(rng: np.random.Generator, spans: int, n: int) -> list:
     return streams
 
 
-def _scratch(n: int) -> tuple:
-    """The sampler's chunk buffers for n blocks (uniforms, indices, probabilities, outcomes,
-    prefixes); reused across a call's pieces, as fresh ones fault their pages in again."""
-    size = min(n, _CHUNK)
-    return (np.empty(size), np.empty(size, dtype=np.intp), np.empty(size),
-            np.empty(size, dtype=bool), np.empty(size, dtype=np.intp))
-
-
 class SplitAttack:
     """Stagewise block extraction for one (scheme, bias, prior) configuration.
 
@@ -183,23 +175,23 @@ class SplitAttack:
         basis_t = None if basis_p is None else basis_p.reshape(2, n_theta, self.n_values)
         return value_t, basis_t
 
-    def _sample(self, value_p, basis_p, code: np.ndarray, rng):
+    def _sample(self, value_p, basis_p, code: np.ndarray, rng: np.random.Generator):
         """Stagewise guesses of the blocks ``code``: outcome 1 when u < P(1).
 
         Each stage array is read raveled at ``prefix * width + code``, width
         being its size per prefix. Stage s of a call over N blocks draws the
         uniforms s*N ... s*N + N - 1 of the PCG64 ``rng``, as stage-major
         whole-array draws would, from its own positioned copy; so every stage
-        runs on one ``_CHUNK``-sized piece before the next. A caller walking a
-        larger call in pieces passes (positioned stage generators, ``_scratch``)
-        as ``rng``. Returns (value ints as uint8, theta as bool with a basis
+        runs on one ``_CHUNK``-sized piece before the next, in buffers reused
+        across pieces. Returns (value ints as uint8, theta as bool with a basis
         stage, else uniform int64 draws from ``rng`` after all stages).
         """
         flat = code.reshape(-1)
         n = flat.size
-        streams, (u, at, p_at, bit, prefix) = (
-            (_positioned(rng, len(value_p) + (basis_p is not None), n), _scratch(n))
-            if isinstance(rng, np.random.Generator) else rng)
+        streams = _positioned(rng, len(value_p) + (basis_p is not None), n)
+        size = min(n, _CHUNK)
+        u, p_at, bit = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        at, prefix = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
         value = np.empty(n, dtype=np.uint8)
         theta = None if basis_p is None else np.empty(n, dtype=bool)
 
@@ -226,13 +218,80 @@ class SplitAttack:
         return value.reshape(code.shape), theta.reshape(code.shape)
 
     def guess_blocks_vectorized(self, values: np.ndarray, thetas: np.ndarray, rng):
-        """(guessed value ints, guessed thetas) for arrays of true blocks; ``rng`` as
-        in ``_sample``."""
+        """(guessed value ints, guessed thetas) for arrays of true blocks, drawn from the
+        PCG64 ``rng`` as ``_sample`` says."""
         value_t, basis_t = self.tables
         # the largest code, 9 thetas of 8 values, is 71
         code = np.multiply(thetas, self.n_values, dtype=np.uint8, casting="unsafe")
         np.add(code, values, out=code, casting="unsafe")
         return self._sample(value_t, basis_t, code, rng)
+
+    @cached_property
+    def hit_tables(self) -> list:
+        """Every stage's P(1) at each block's true prefix, by code = theta * n_values + value:
+        value stage s reads the value's leading s bits, the basis stage the whole value."""
+        value_t, basis_t = self.tables
+        vbits = self.scheme.value_bits
+        value = np.arange(self.n_values)
+        staged = [(t, value >> (vbits - s)) for s, t in enumerate(value_t)]
+        if basis_t is not None:
+            staged.append((basis_t, value))
+        # [prefix per value, :, value] puts the value axis first: .T makes it [theta, value]
+        return [t[prefix, :, value].T.ravel() for t, prefix in staged]
+
+    def stage_hits(self, pieces, streams):
+        """For each piece (values, thetas) of true blocks, whether every stage guesses
+        its true bit of each block; a generator, scoring one piece per step.
+
+        Stage s draws its uniforms in flat order from ``streams[s]``, one
+        ``_CHUNK``-sized run at a time, in buffers reused across runs and
+        pieces, and guesses 1 when u < P(1), as ``_sample`` does. A block
+        counts only when every stage is right, so each stage reads P(1) at the
+        block's true prefix: once a stage is wrong, later guesses cannot change
+        the verdict. Per run and stage that is one draw, one ``take`` of its
+        ``hit_tables`` row by code, one ``less`` and one ``equal`` against the
+        true bit, ANDed into the score. The theta guess of a scheme without a
+        basis stage is not scored here.
+        """
+        vbits = self.scheme.value_bits
+        u, p_at = np.empty(_CHUNK), np.empty(_CHUNK)
+        theta_code, code = np.empty(_CHUNK, dtype=np.uint8), np.empty(_CHUNK, dtype=np.intp)
+        right = np.empty(_CHUNK, dtype=bool)
+        for values, thetas in pieces:
+            v, t = values.reshape(-1), thetas.reshape(-1)
+            hit = np.empty(v.size, dtype=bool)
+            for lo, hi in _chunks(v.size):
+                k = hi - lo
+                # uint8 arithmetic, widened once: an intp multiply of bools costs twice as much
+                np.multiply(t[lo:hi], self.n_values, out=theta_code[:k], dtype=np.uint8,
+                            casting="unsafe")
+                np.add(theta_code[:k], v[lo:hi], out=code[:k], casting="unsafe")
+                for s, (table, g) in enumerate(zip(self.hit_tables, streams)):
+                    out = hit[lo:hi] if s == 0 else right[:k]
+                    g.random(out=u[:k])
+                    # codes index the family by construction; "raise" would copy
+                    # into a temporary to keep ``out`` whole on a bad index
+                    table.take(code[:k], out=p_at[:k], mode="clip")
+                    np.less(u[:k], p_at[:k], out=out)
+                    if s == vbits:
+                        truth = t[lo:hi]
+                    else:
+                        truth = v[lo:hi] if vbits == 1 else (v[lo:hi] >> (vbits - 1 - s)) & 1
+                    np.equal(out, truth, out=out)
+                    if s:
+                        hit[lo:hi] &= out
+            yield hit.reshape(values.shape)
+
+    def hits(self, values: np.ndarray, thetas: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+        """Whether each true block is guessed whole: ``guess_blocks_vectorized``'s
+        (value guess == values) & (theta guess == thetas), from the same draws,
+        leaving ``rng`` in the same state."""
+        streams = _positioned(rng, len(self.hit_tables), values.size)
+        hit, = self.stage_hits([(values, thetas)], streams)
+        if self.basis_stage is None:
+            hit &= rng.integers(0, self.scheme.bases_used, size=values.shape) == thetas
+        return hit
 
     def guess_amplitudes(self, amps: np.ndarray, rng: np.random.Generator):
         """(guessed value ints, guessed thetas) for received amplitude rows (N, dim)."""

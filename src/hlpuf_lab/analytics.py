@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import _cached_attack, _chunks, _positioned, _scratch
+from .adversary import _cached_attack, _chunks, _positioned
 from .hybrid import EncodingScheme
 
 # above this the exact integer binomials overflow double precision
@@ -172,30 +172,30 @@ def mc_extract_rate(scheme: EncodingScheme, m: int, p: float, q: int, trials: in
     responses = trials * q
     # bb84: true values, true thetas and each sampler stage (one per block bit) read
     # their own span of responses * blocks uniforms, in that order, as whole-array draws
-    # would; each piece of whole responses is drawn, sampled and scored in place. MUB
+    # would; each piece of whole responses is drawn, scored and ANDed in place. MUB
     # truths are bounded-integer draws, which buffer 32-bit halves and can reject: no
     # fixed span, so one whole-array piece (positioning 0 spans still refuses non-PCG64).
     bb84 = scheme.kind == "bb84"
     streams = _positioned(rng, 2 + scheme.bits_per_block if bb84 else 0, responses * blocks)
     if bb84:
-        sampler = streams[2:], _scratch(responses * blocks)
-        pieces = ((lo, hi, streams[0].random((hi - lo, blocks)) >= p,
-                   streams[1].random((hi - lo, blocks)) >= p, sampler)
+        truths = ((streams[0].random((hi - lo, blocks)) >= p,
+                   streams[1].random((hi - lo, blocks)) >= p)
                   for lo, hi in _chunks(responses, blocks))
+        pieces = attack.stage_hits(truths, streams[2:])
     else:
-        pieces = [(0, responses, rng.integers(0, n_values, size=(responses, blocks)),
-                   rng.integers(0, n_theta, size=(responses, blocks)), rng)]
+        values = rng.integers(0, n_values, size=(responses, blocks))
+        thetas = rng.integers(0, n_theta, size=(responses, blocks))
+        pieces = [attack.hits(values, thetas, rng)]
     response_ok = np.empty(responses, dtype=bool)
-    for lo, hi, values, thetas, sampler_rng in pieces:
-        value_guess, theta_guess = attack.guess_blocks_vectorized(values, thetas, sampler_rng)
-        block_ok = value_guess == values
-        block_ok &= theta_guess == thetas
+    lo = 0
+    for block_ok in pieces:
         # AND over the short block axis one slice at a time: np.all(axis=1) runs
         # an inner loop per response and took 3x as long
-        ok = response_ok[lo:hi]
+        ok = response_ok[lo:lo + len(block_ok)]
         ok[:] = block_ok[:, 0]
         for b in range(1, blocks):
             ok &= block_ok[:, b]
+        lo += len(block_ok)
     return McExtractResult(q=q, m=m, trials=trials,
                            success_counts=response_ok.reshape(trials, q).sum(axis=1),
                            response_success_rate=float(np.mean(response_ok)))

@@ -361,6 +361,111 @@ class TestSamplerGeneratorState:
                 call()
             assert state() == before
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_mc_extract_rate_response_wider_than_default_chunk(self, p):
+        # one response of _CHUNK + 5 bb84 blocks makes every piece one response
+        # wider than a chunk, so the sampler splits a response across its runs
+        m = adversary._CHUNK + 5
+        rng_got, rng_want = self.buffered_pair(145)
+        res = mc_extract_rate(BB84, m, p, 1, 2, rng_got)
+        counts, rate = reference_mc_counts(BB84, m, p, 1, 2, rng_want)
+        self.assert_same_state((res.success_counts,), (counts,), rng_got, rng_want)
+        assert res.response_success_rate == rate
+
+
+class TestHitKernel:
+    """``SplitAttack.hits`` is ``guess_blocks_vectorized`` scored against the truth,
+    draw for draw, down to the whole generator state."""
+
+    CASES = [(BB84, p, prior) for p in (0.5, 0.7, 1.0) for prior in (1, 2)] + [
+        (MUB4, 0.5, 4), (MUB4, 0.5, 5), (MUB8, 0.5, 8), (MUB8, 0.5, 9)]
+
+    @pytest.fixture(params=[1, 7, 64, None])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(adversary, "_CHUNK", request.param)
+        return adversary._CHUNK
+
+    @staticmethod
+    def check(attack, values, thetas, seed):
+        rng_got, rng_want = TestSamplerGeneratorState.buffered_pair(seed)
+        got = attack.hits(values, thetas, rng_got)
+        value_guess, theta_guess = attack.guess_blocks_vectorized(values, thetas, rng_want)
+        want = (value_guess == values) & (theta_guess == thetas)
+        assert got.shape == want.shape and got.dtype == bool
+        assert np.array_equal(got, want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("scheme,p,prior", CASES)
+    def test_matches_scored_guesses(self, chunk, scheme, p, prior):
+        attack = SplitAttack(scheme, p=p, prior_bases=prior)
+        rng = derive_rng(146)
+        # one short of a chunk, one over, a ragged 2-D shape and three chunks and a tail
+        for seed, shape in enumerate([(chunk - 1,), (chunk + 1,), (5, chunk + 3),
+                                      (3 * chunk + 17,)]):
+            if not shape[-1]:
+                continue
+            values = rng.integers(0, attack.n_values, size=shape)
+            # every family basis, the unassumed ones included, as mc_extract_rate's priors draw
+            thetas = rng.integers(0, len(scheme.family()), size=shape)
+            self.check(attack, values, thetas, 147 + seed)
+            if scheme is BB84:
+                # mc_extract_rate hands conjugate-coding truths over as bools
+                self.check(attack, values.astype(bool), thetas.astype(bool), 147 + seed)
+
+    @pytest.mark.parametrize("scheme", [BB84, MUB4, MUB8])
+    def test_rates_are_the_stagewise_success(self, scheme):
+        # blocks drawn from the prior the tables assume: the hit rate is the split
+        # attack's block success, the bb84 Helstrom bit rate squared
+        attack = SplitAttack(scheme)
+        rng = derive_rng(148)
+        n = 40000
+        values = rng.integers(0, attack.n_values, size=n)
+        thetas = rng.integers(0, scheme.bases_used, size=n)
+        rate = float(np.mean(self.check(attack, values, thetas, 149)))
+        if scheme is BB84:
+            assert abs(rate - HELSTROM_BB84 ** 2) <= 3 * np.sqrt(rate * (1 - rate) / n)
+        assert 0 < rate < 1
+
+    @pytest.mark.parametrize("theta", [0, 1])
+    def test_uniform_equal_to_p_one_guesses_zero(self, theta):
+        # u < P(1) guesses 1, so a uniform equal to P(1) guesses 0 on both paths:
+        # make the first value-stage uniform the P(1) of the block's code, and the
+        # basis stage certain of the true theta
+        attack = SplitAttack(BB84)
+        rng, _ = TestSamplerGeneratorState.buffered_pair(150)  # the state check() starts at
+        peek = np.random.Generator(np.random.PCG64(0))
+        peek.bit_generator.state = rng.bit_generator.state
+        value_t, basis_t = attack.tables[0][0].copy(), attack.tables[1].copy()
+        value_t[0, theta, 0] = peek.random()
+        basis_t[0, theta, 0] = float(theta)
+        attack.__dict__["tables"] = ([value_t], basis_t)
+        values, thetas = np.zeros(1, dtype=np.int64), np.full(1, theta)
+        value_guess, _ = attack.guess_blocks_vectorized(values, thetas, rng)
+        assert value_guess[0] == 0
+        assert self.check(attack, values, thetas, 150)[0]
+
+    def test_hit_tables_read_the_true_prefix(self):
+        # MUB8: three value stages; stage s reads its table at the value's leading s bits
+        attack = SplitAttack(MUB8)
+        value_t, _ = attack.tables
+        tables = attack.hit_tables
+        assert len(tables) == 3
+        for s, table in enumerate(tables):
+            by_code = table.reshape(-1, attack.n_values)
+            for theta in range(len(MUB8.family())):
+                for value in range(attack.n_values):
+                    assert by_code[theta, value] == value_t[s][value >> (3 - s), theta, value]
+
+    def test_other_bit_generators_refused_before_any_draw(self):
+        rng = np.random.Generator(np.random.MT19937(1))
+        before = rng.bit_generator.state["state"]["pos"]
+        blocks = np.zeros(5, dtype=np.int64)
+        with pytest.raises(ValueError, match="PCG64"):
+            SplitAttack(MUB4).hits(blocks, blocks, rng)
+        assert rng.bit_generator.state["state"]["pos"] == before
+
 
 class TestLearningRoutes:
     """Each learning route against the direct call it replaces, down to the whole generator
