@@ -407,7 +407,7 @@ def intercept_resend(state: qstate.PureState, rng: np.random.Generator) -> tuple
     family = qstate.bb84_family()
     guess = int(rng.integers(0, 2))
     outcome = family.measure(state, guess, rng)
-    return family.basis_state(guess, outcome), outcome, guess
+    return qstate.PureState._wrap(family.columns[guess, outcome]), outcome, guess
 
 
 # ---------------------------------------------------------------------------

@@ -116,23 +116,40 @@ def block_indices(bits, scheme: EncodingScheme) -> np.ndarray:
 
 
 def encode_half(bits, scheme: EncodingScheme) -> list:
-    """Block states of a half's bits: the wire form, one fresh PureState per block."""
-    family = scheme.family()
-    blocks = block_indices(bits, scheme).tolist()
-    return [family.basis_state(theta, value) for value, theta in blocks]
+    """Block states of a half's bits: the wire form, a fresh PureState around each kept column."""
+    columns, wrap = scheme.family().columns, qstate.PureState._wrap
+    return [wrap(columns[theta, value]) for value, theta in block_indices(bits, scheme).tolist()]
 
 
 def _verify_blocks(bits, received, scheme: EncodingScheme, rng: np.random.Generator) -> bool:
-    """Measure each received block in the basis named by ``bits``; all values must match."""
+    """Measure each received block in the basis named by ``bits``; all values must match.
+
+    Block j passes iff the j-th uniform u is in its value v's interval [cdf[v-1], cdf[v]) of
+    ``family.cdf`` (0 below the first, open above the last): iff ``_draw(cdf, u) == v``. As
+    u <= 1 - 2^-53, lo <= 0 and hi >= 1 passes every u, so such draws wait for one
+    ``rng.random(n)``. Drawing stops at a failure; a block that is not a PureState of the
+    block dimension fails undrawn.
+    """
     blocks = block_indices(bits, scheme).tolist()
     if len(received) != len(blocks):
         return False
-    family = scheme.family()
+    cdf, dim, passed = scheme.family().cdf, scheme.block_dim, 0  # passed: undrawn sure passes
     for state, (value, theta) in zip(received, blocks):
-        if not isinstance(state, qstate.PureState) or state.dim != scheme.block_dim:
+        if not isinstance(state, qstate.PureState) or state.dim != dim:
+            rng.random(passed)
             return False
-        if family.measure(state, theta, rng) != value:
+        bounds = cdf(state, theta)
+        lo = bounds[value - 1] if value else 0.0
+        hi = bounds[value] if value < dim - 1 else 1.0
+        if lo <= 0.0 and hi >= 1.0:
+            passed += 1
+            continue
+        if passed:
+            rng.random(passed)
+            passed = 0
+        if not lo <= rng.random() < hi:
             return False
+    rng.random(passed)
     return True
 
 

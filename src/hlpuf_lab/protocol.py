@@ -295,5 +295,4 @@ def run_session(server: ServerState, device: HlpufDevice, adversary: ChannelAdve
 def write_transcript(path, report: SessionReport) -> None:
     """JSON-lines export, one hook/step event per line."""
     with open(path, "w") as fh:
-        for event in report.transcript:
-            fh.write(_encode_json(event) + "\n")
+        fh.writelines(_encode_json(event) + "\n" for event in report.transcript)

@@ -156,9 +156,9 @@ class MubFamily:
     """A list of pairwise mutually unbiased orthonormal bases of one dimension.
 
     The constructor refuses an invalid family, then builds, once,
-    ``columns[theta, value]`` (the amplitudes of every basis state) and the
-    Born CDF of every column in every basis of the family, so that family
-    states are neither re-validated nor re-measured through the kernel.
+    ``columns[theta, value]`` (the amplitudes of every basis state, never
+    re-validated) and the Born CDF of every column in every family basis,
+    which ``cdf(state, theta)`` returns in place of the kernel's output.
     """
 
     __slots__ = ("dim", "bases", "columns", "_adjoints", "_cdfs")
@@ -199,12 +199,16 @@ class MubFamily:
                     errs.append(f"bases {t1},{t2} not unbiased (max deviation {dev:.3e})")
         return errs
 
-    def measure(self, state: PureState, theta: int, rng: np.random.Generator) -> int:
-        """``measure(state, self.bases[theta], rng)``'s outcome, trusting the build-time check."""
+    def cdf(self, state: PureState, theta: int):
+        """The Born CDF of ``state`` in basis ``theta``, trusting the build-time check."""
         cdfs = self._cdfs.get(state.amplitudes.tobytes())
         if cdfs is None:  # not a family state
-            return _draw(_born_cdf(self._adjoints[theta], state.amplitudes), rng)
-        return _draw(cdfs[theta], rng)
+            return _born_cdf(self._adjoints[theta], state.amplitudes)
+        return cdfs[theta]
+
+    def measure(self, state: PureState, theta: int, rng: np.random.Generator) -> int:
+        """``measure(state, self.bases[theta], rng)``'s outcome, drawn from ``cdf``."""
+        return _draw(self.cdf(state, theta), rng)
 
     def basis_state(self, theta: int, index: int) -> PureState:
         """Column ``index`` of basis ``theta`` as a new PureState object."""

@@ -1,9 +1,38 @@
 """Scalar state oracles for tests: the lab itself never compares two states, mixes
-states into a density matrix, or scores a two-outcome measurement one state at a time."""
+states into a density matrix, or scores a two-outcome measurement one state at a time.
+Also the scalar block-verify loop that ``hybrid._verify_blocks`` must match draw for
+draw, and a stand-in generator with a fixed uniform."""
 
 import numpy as np
 
-from hlpuf_lab.qstate import ATOL, DensityMatrix
+from hlpuf_lab.hybrid import block_indices
+from hlpuf_lab.qstate import ATOL, DensityMatrix, PureState
+
+
+class FixedDraw:
+    """Stands in for a generator whose every rng.random() draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def reference_verify_blocks(bits, received, scheme, rng) -> bool:
+    """The scalar verify loop: one ``family.measure`` per block in the basis ``bits``
+    names, stopping at the first wrong value; a block that is not a PureState of
+    the block dimension fails without a draw."""
+    blocks = block_indices(bits, scheme).tolist()
+    if len(received) != len(blocks):
+        return False
+    family = scheme.family()
+    for state, (value, theta) in zip(received, blocks):
+        if not isinstance(state, PureState) or state.dim != scheme.block_dim:
+            return False
+        if family.measure(state, theta, rng) != value:
+            return False
+    return True
 
 
 def same_state(a, b, atol: float = ATOL) -> bool:

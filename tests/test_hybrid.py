@@ -6,7 +6,7 @@ from hlpuf_lab.adversary import wire_amplitudes
 from hlpuf_lab.cpuf import CpufModel
 from hlpuf_lab.hybrid import ABORT, BB84, MUB4, MUB8
 from hlpuf_lab.seeding import derive_rng
-from state_helpers import same_state
+from state_helpers import FixedDraw, reference_verify_blocks, same_state
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -259,3 +259,97 @@ class TestHonestRoundTrip:
                 out = device.lock_query(x, hybrid.encode_half(y[:half], scheme), rng)
                 assert out is not ABORT
                 assert hybrid.server_verify(y[half:], out, scheme, rng)
+
+
+SCHEME_SIZES = ((BB84, 8), (MUB4, 8), (MUB8, 9))
+
+
+def random_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return qstate.PureState(v / np.linalg.norm(v))
+
+
+def one_block_bits(value, theta, scheme):
+    return np.concatenate([hybrid.int_to_bits(value, scheme.value_bits),
+                           hybrid.int_to_bits(theta, scheme.basis_bits)])
+
+
+def resent(states, family, rng):
+    """Intercept-resend on any family: each block measured in a uniformly random
+    basis of the family and resent as the outcome's column."""
+    out = []
+    for state in states:
+        theta = int(rng.integers(0, len(family)))
+        out.append(family.basis_state(theta, family.measure(state, theta, rng)))
+    return out
+
+
+class TestPassIntervals:
+    """A one-block verify against the draw it stands for: the block passes at u
+    iff ``qstate._draw(cdf, u)`` is its value."""
+
+    @pytest.mark.parametrize("scheme", (BB84, MUB4, MUB8), ids=lambda s: s.kind)
+    def test_verdict_is_the_draw_at_every_edge(self, scheme):
+        family, last = scheme.family(), scheme.block_dim - 1
+        rng = derive_rng(56)
+        near = family.columns[0, 0] + 0.05 * random_state(rng, family.dim).amplitudes
+        states = [family.basis_state(t, v) for t in range(len(family)) for v in range(family.dim)]
+        # a random state, and one close enough to a column that some hi lies in (0.99, 1)
+        states += [random_state(rng, family.dim), qstate.PureState(near / np.linalg.norm(near))]
+        below_one = np.nextafter(1.0, 0.0)
+        checked = 0
+        for state in states:
+            for theta in range(scheme.bases_used):
+                cdf = family.cdf(state, theta)
+                for value in range(family.dim):
+                    bits = one_block_bits(value, theta, scheme)
+                    lo = cdf[value - 1] if value else 0.0
+                    hi = cdf[value] if value < last else 1.0
+                    edges = {0.0, lo, hi, below_one,
+                             np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf)}
+                    for u in sorted(float(e) for e in edges if 0.0 <= e < 1.0):
+                        got = hybrid._verify_blocks(bits, [state], scheme, FixedDraw(u))
+                        assert got == (qstate._draw(cdf, FixedDraw(u)) == value), \
+                            (theta, value, u, state)
+                        checked += 1
+        assert checked > len(states) * scheme.bases_used * family.dim
+
+    @pytest.mark.parametrize("scheme, m", SCHEME_SIZES, ids=lambda v: getattr(v, "kind", v))
+    def test_draw_for_draw_against_the_scalar_loop(self, scheme, m):
+        family = scheme.family()
+        make = derive_rng(57)
+        width = scheme.blocks(m) * scheme.bits_per_block
+        cases = []
+        for _ in range(120):
+            bits = make.integers(0, 2, size=width, dtype=np.uint8)
+            honest = hybrid.encode_half(bits, scheme)
+            wrong_dim = list(honest)
+            wrong_dim[int(make.integers(0, len(honest)))] = random_state(
+                make, 4 if family.dim == 2 else 2)
+            not_a_state = list(honest)
+            not_a_state[int(make.integers(0, len(honest)))] = honest[0].amplitudes
+            mixed = list(honest)
+            mixed[int(make.integers(0, len(honest)))] = random_state(make, family.dim)
+            cases += [
+                (bits, honest),
+                (bits, resent(honest, family, make)),
+                (bits, honest[:-1]),
+                (bits, honest + honest[:1]),
+                (bits, wrong_dim),
+                (bits, not_a_state),
+                (bits, [random_state(make, family.dim) for _ in honest]),
+                (bits, mixed),
+            ]
+        got_rng, want_rng = derive_rng(58), derive_rng(58)
+        verdicts = []
+        for bits, received in cases:
+            got = hybrid._verify_blocks(bits, received, scheme, got_rng)
+            want = reference_verify_blocks(bits, received, scheme, want_rng)
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got_rng.integers(0, 2) == want_rng.integers(0, 2)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            verdicts.append(got)
+        # honest halves pass, resent halves fail at times, short halves always fail
+        assert all(verdicts[::8])
+        assert not all(verdicts[1::8]) and not any(verdicts[2::8])

@@ -3,7 +3,8 @@ import pytest
 
 from hlpuf_lab import qstate
 from hlpuf_lab.seeding import derive_rng
-from state_helpers import helstrom_success, mixture, probability_a, same_state, trace_distance
+from state_helpers import (FixedDraw, helstrom_success, mixture, probability_a, same_state,
+                           trace_distance)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -275,16 +276,6 @@ class TestFamilyMeasure:
             qstate.mub4_family().measure(qstate.bb84_state(0, 0), 0, derive_rng(21))
 
 
-class FixedDraw:
-    """Stands in for a generator whose next rng.random() is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 class TestBornDraw:
     def test_matches_searchsorted_right(self):
         rng = derive_rng(24)
@@ -323,6 +314,16 @@ class TestFamilyTables:
                 probs = np.abs(basis.conj().T @ col) ** 2
                 expected = np.cumsum(probs / probs.sum())
                 assert np.array(cached[theta]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make_family", FAMILIES)
+    def test_cdf_is_the_kept_list_or_the_kernel_output(self, make_family):
+        fam = make_family()
+        other = random_pure(derive_rng(25), fam.dim)
+        for theta, adjoint in enumerate(fam._adjoints):
+            for col in fam.columns.reshape(-1, fam.dim):
+                assert fam.cdf(qstate.PureState(col), theta) is fam._cdfs[col.tobytes()][theta]
+            expected = qstate._born_cdf(adjoint, other.amplitudes)
+            assert fam.cdf(other, theta).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("make_family", FAMILIES)
     def test_family_states_skip_the_kernel(self, make_family, monkeypatch):
